@@ -1,8 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Each benchmark file regenerates one experiment of DESIGN.md §3 (one table or
-figure).  The quantity the paper talks about is the number of *asynchronous
-rounds*, not wall-clock time, so every benchmark
+Each benchmark file regenerates one experiment (one table or figure) of the
+artefact table in EXPERIMENTS.md; its "Fidelity" section says which round
+counts are measured by the scheduler and which are charged.  The quantity
+the paper talks about is the number of *asynchronous rounds*, not
+wall-clock time, so every benchmark
 
 * runs the experiment exactly once through ``benchmark.pedantic`` (wall-clock
   time is still recorded for the pytest-benchmark report),

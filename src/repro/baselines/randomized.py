@@ -9,13 +9,14 @@ refinement by Daymude et al. [10, 11] achieves ``O(L_out + D)`` w.h.p.  The
 paper's contribution is matching these bounds *deterministically*.
 
 This module reproduces the baseline at the same fidelity level as the OBD
-primitive (see DESIGN.md §4): the virtual rings, candidate sets, coin flips
-and eliminations are simulated explicitly (seeded and reproducible), and the
-round cost of each phase is charged from the structure of the computation —
-a phase in which the surviving candidates are separated by gaps of at most
-``g`` v-nodes costs ``O(g)`` rounds of concurrent token traffic, the final
-confirmation lap costs one traversal of the ring, and the announcement is a
-flood over the particle graph (``O(D)`` rounds).
+primitive (see EXPERIMENTS.md, "Fidelity"): the virtual rings, candidate
+sets, coin flips and eliminations are simulated explicitly (seeded and
+reproducible), and the round cost of each phase is charged from the
+structure of the computation — a phase in which the surviving candidates
+are separated by gaps of at most ``g`` v-nodes costs ``O(g)`` rounds of
+concurrent token traffic, the final confirmation lap costs one traversal of
+the ring, and the announcement is a flood over the particle graph (``O(D)``
+rounds).
 
 The measured quantity (expected rounds as a function of ``L_out + D``) is
 what Table 1 compares against.
@@ -25,10 +26,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional
 
 from ..amoebot.system import ParticleSystem
-from ..grid.metrics import bfs_distances
+from ..grid.metrics import flood_depth
 from ..grid.shape import Shape, VirtualRing
 
 __all__ = ["RandomizedElectionOutcome", "RandomizedBoundaryElection",
@@ -156,7 +157,8 @@ class RandomizedBoundaryElection:
         # Boundaries are processed concurrently; the outer boundary gates the
         # announcement, every other boundary is cancelled by the flood.
         ring_rounds = outer_election.rounds
-        flood_rounds = self._flood_rounds({leader_point})
+        flood_rounds = flood_depth([leader_point],
+                                   system.occupied_points()) + 1
         total = ring_rounds + flood_rounds
         return RandomizedElectionOutcome(
             rounds=total,
@@ -167,15 +169,6 @@ class RandomizedBoundaryElection:
             per_ring=per_ring,
             succeeded=True,
         )
-
-    def _flood_rounds(self, sources: Set[tuple]) -> int:
-        occupied = self.system.occupied_points()
-        best: Dict[tuple, int] = {}
-        for source in sorted(sources):
-            for point, dist in bfs_distances(source, occupied).items():
-                if point not in best or dist < best[point]:
-                    best[point] = dist
-        return max(best.values()) + 1 if best else 1
 
 
 def run_randomized_election(system: ParticleSystem,

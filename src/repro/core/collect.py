@@ -13,13 +13,14 @@ particles (primitive SDP).  The algorithm terminates after the first phase
 that collects nothing, at which point the collected particles form a
 connected configuration.
 
-Fidelity note (see DESIGN.md §4).  The paper implements the three primitives
-with token/permit pipelining and "virtual particle" simulation whose
-low-level message formats are only sketched.  This module executes the *net
-particle movement* of each phase on the real grid — so collection,
-connectivity (Lemma 20) and the doubling behaviour (Lemma 21 / Corollary 22)
-are genuinely simulated and checked — while the number of rounds of each
-primitive is charged analytically from the paper's own pipelining analysis:
+Fidelity note (see EXPERIMENTS.md, "Fidelity").  The paper implements the
+three primitives with token/permit pipelining and "virtual particle"
+simulation whose low-level message formats are only sketched.  This module
+executes the *net particle movement* of each phase on the real grid — so
+collection, connectivity (Lemma 20) and the doubling behaviour (Lemma 21 /
+Corollary 22) are genuinely simulated and checked — while the number of
+rounds of each primitive is charged analytically from the paper's own
+pipelining analysis:
 
 * OMP on a stem of size ``k``:   ``OMP_ROUNDS_PER_UNIT * k``   (Lemma 24),
 * one 60-degree PRP rotation:    ``PRP_ROUNDS_PER_UNIT * k``   (Lemma 26),

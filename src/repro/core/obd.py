@@ -11,9 +11,10 @@ The outer boundary then announces termination by flooding the particle
 graph, which takes at most ``D`` additional rounds, for ``O(L_out + D)``
 rounds overall (Theorem 41).
 
-Fidelity note (see DESIGN.md §4).  The v-node rings, boundary counts,
-segment labels, the (size, label) comparison order, the stable-boundary
-criterion of Theorem 36 and the final flooding are implemented exactly.  The
+Fidelity note (see EXPERIMENTS.md, "Fidelity").  The v-node rings,
+boundary counts, segment labels, the (size, label) comparison order, the
+stable-boundary criterion of Theorem 36 and the final flooding (one
+multi-source BFS from the outer boundary) are implemented exactly.  The
 pipelined token trains of the lexicographic-comparison primitive (LCP) are
 *not* reproduced message-by-message; instead the competition is simulated in
 synchronous generations (all surviving segments compare with their
@@ -31,12 +32,12 @@ documented constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from ..amoebot.particle import Particle
 from ..amoebot.system import ParticleSystem
 from ..grid.coords import NUM_DIRECTIONS, Point, neighbor
-from ..grid.metrics import bfs_distances
+from ..grid.metrics import flood_depth
 from ..grid.shape import Shape, VirtualRing, VNode
 
 __all__ = [
@@ -260,7 +261,14 @@ class OuterBoundaryDetection:
         # boundary (O(L_out) rounds), then the result is flooded through the
         # particle graph (at most D + 1 rounds).
         announcement_rounds = len(outer_ring)
-        flood_rounds = self._flood_rounds(outer_points)
+        try:
+            flood_rounds = flood_depth(outer_points,
+                                       system.occupied_points()) + 1
+        except ValueError:
+            raise RuntimeError(
+                "flooding could not reach every particle; the configuration "
+                "is disconnected"
+            ) from None
 
         competition_rounds = outer_result.rounds
         total_rounds = competition_rounds + announcement_rounds + flood_rounds
@@ -291,21 +299,3 @@ class OuterBoundaryDetection:
             boundary_results=[],
             outer_boundary_points={particle.head},
         )
-
-    def _flood_rounds(self, sources: Set[Point]) -> int:
-        """Rounds needed to flood the termination announcement from the outer
-        boundary to every particle (one hop of the particle graph per round)."""
-        occupied = self.system.occupied_points()
-        best: Dict[Point, int] = {}
-        for source in sorted(sources):
-            distances = bfs_distances(source, occupied)
-            for point, dist in distances.items():
-                if point not in best or dist < best[point]:
-                    best[point] = dist
-        missing = [p for p in occupied if p not in best]
-        if missing:
-            raise RuntimeError(
-                "flooding could not reach every particle; the configuration "
-                "is disconnected"
-            )
-        return max(best.values()) + 1

@@ -12,8 +12,22 @@ All quantities are defined in Section 2 of the paper:
 * ``eps_G(v)`` — eccentricity of ``v`` w.r.t. the grid (greatest grid
   distance from ``v`` to any shape point).
 
-Distances within a point set are computed by breadth-first search; the grid
-metric has the closed form of :func:`repro.grid.coords.grid_distance`.
+Every value is exact.  The grid distance is ``max(|dq|, |dr|, |dq + dr|)``
+(:func:`repro.grid.coords.grid_distance`), so ``D_G`` and every grid
+eccentricity are closed forms over the extremes of the three axial
+coordinates ``q``, ``r`` and ``q + r``: O(n) for the whole shape.
+
+``D`` and ``D_A`` are found with the BoundingDiameters algorithm (Takes &
+Kosters, CIKM 2011).  It keeps a lower and an upper bound on the
+eccentricity of every shape point, runs a breadth-first search only from
+points whose bounds still leave them able to beat the best diameter known,
+and stops when no point can.  The lower bounds start at the grid
+eccentricities, which is valid because a path inside any point set is never
+shorter than the grid distance; on convex shapes that settles the diameter
+after one or two searches.  Each search costs O(n_A) and each bound update
+O(n).  A shape on which every point ties (a thin ring walked around) can
+need many more searches, at worst one per point plus one, which is the cost
+of the brute-force :func:`diameter_within` the tests compare against.
 """
 
 from __future__ import annotations
@@ -22,13 +36,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
-from .coords import Point, grid_distance, neighbors_interned
+from ..telemetry import counter as _metric
+from .coords import Point, neighbors_interned
 from .shape import Shape
 
 __all__ = [
     "bfs_distances",
     "eccentricity_within",
     "diameter_within",
+    "flood_depth",
     "grid_eccentricity",
     "grid_diameter",
     "ShapeMetrics",
@@ -81,7 +97,8 @@ def diameter_within(shape_points: AbstractSet[Point],
                     allowed: AbstractSet[Point]) -> int:
     """Diameter of ``shape_points`` w.r.t. shortest paths within ``allowed``.
 
-    This is the greatest eccentricity over the shape's points (Section 2.1).
+    This is the greatest eccentricity over the shape's points (Section 2.1),
+    found by brute force: one search per point, O(n · n_A).
     """
     if not shape_points:
         raise ValueError("diameter of an empty point set")
@@ -90,23 +107,121 @@ def diameter_within(shape_points: AbstractSet[Point],
     )
 
 
+def flood_depth(sources: Iterable[Point], allowed: AbstractSet[Point]) -> int:
+    """Greatest distance (within ``allowed``) from the nearest source to any
+    point of ``allowed``, by one multi-source breadth-first search.
+
+    This is the number of hops a flood started at every source at once
+    needs to cover ``allowed``.  Raises ``ValueError`` if a source lies
+    outside ``allowed`` or some point of ``allowed`` is unreachable (with
+    no source at all, every point is).
+    """
+    seen = set(sources)
+    if not seen <= allowed:
+        raise ValueError("sources must belong to the allowed set")
+    frontier = sorted(seen)
+    depth = 0
+    while True:
+        reached: List[Point] = []
+        for current in frontier:
+            for nxt in neighbors_interned(current):
+                if nxt in allowed and nxt not in seen:
+                    seen.add(nxt)
+                    reached.append(nxt)
+        if not reached:
+            break
+        frontier = reached
+        depth += 1
+    if len(seen) < len(allowed):
+        raise ValueError(
+            f"{len(allowed) - len(seen)} points are unreachable from the "
+            "sources within the allowed set"
+        )
+    return depth
+
+
+#: ``(min q, max q, min r, max r, min q+r, max q+r)`` of a point set: the
+#: three axis extremes every grid eccentricity reads.
+_Extremes = Tuple[int, int, int, int, int, int]
+
+
+def _axis_extremes(points: AbstractSet[Point]) -> _Extremes:
+    """The axis extremes of a non-empty point set."""
+    qs = [p[0] for p in points]
+    rs = [p[1] for p in points]
+    ss = [q + r for q, r in zip(qs, rs)]
+    return min(qs), max(qs), min(rs), max(rs), min(ss), max(ss)
+
+
+def _grid_ecc(point: Point, extremes: _Extremes) -> int:
+    """Grid eccentricity of ``point`` w.r.t. a set with these axis extremes."""
+    lo_q, hi_q, lo_r, hi_r, lo_s, hi_s = extremes
+    q, r = point
+    s = q + r
+    return max(q - lo_q, hi_q - q, r - lo_r, hi_r - r, s - lo_s, hi_s - s)
+
+
 def grid_eccentricity(source: Point, shape_points: AbstractSet[Point]) -> int:
-    """Eccentricity of ``source`` w.r.t. the full grid metric."""
+    """Eccentricity of ``source`` w.r.t. the full grid metric, O(n)."""
     if not shape_points:
         raise ValueError("eccentricity w.r.t. an empty point set")
-    return max(grid_distance(source, p) for p in shape_points)
+    return _grid_ecc(source, _axis_extremes(shape_points))
 
 
 def grid_diameter(shape_points: AbstractSet[Point]) -> int:
-    """Diameter of the point set w.r.t. the full grid metric (``D_G``)."""
+    """Diameter of the point set w.r.t. the full grid metric (``D_G``): the
+    largest spread of any of the three axial coordinates, O(n)."""
     if not shape_points:
         raise ValueError("diameter of an empty point set")
-    points = sorted(shape_points)
-    return max(
-        grid_distance(a, b)
-        for i, a in enumerate(points)
-        for b in points[i + 1:]
-    ) if len(points) > 1 else 0
+    lo_q, hi_q, lo_r, hi_r, lo_s, hi_s = _axis_extremes(shape_points)
+    return max(hi_q - lo_q, hi_r - lo_r, hi_s - lo_s)
+
+
+def _bounding_diameter(points: AbstractSet[Point], allowed: AbstractSet[Point],
+                       lower: Dict[Point, int], extremes: _Extremes) -> int:
+    """Exact diameter of ``points`` w.r.t. paths within ``allowed``, by
+    BoundingDiameters (see the module docstring).
+
+    ``lower`` holds a lower bound on every point's eccentricity and is
+    tightened in place.  A search from ``v`` at distance ``d`` from ``w``
+    gives ``max(ecc(v) - d, d) <= ecc(w) <= ecc(v) + d``; a point whose
+    upper bound cannot beat the best diameter known drops out.  The first
+    search starts from the point of ``allowed`` nearest the grid centre
+    (``extremes`` are the shape's axis extremes), which may be a hole point
+    when that is more central than any shape point; such a source only
+    yields ``ecc(v) - d`` as a lower bound.  Later searches alternate
+    between the remaining point with the largest upper bound (a peripheral
+    point, which may raise the diameter) and the one with the smallest
+    lower bound (a central point, which tightens the upper bounds).
+    """
+    best = max(lower.values())
+    upper = dict.fromkeys(points, len(allowed))
+    candidates = sorted(points)
+    source = min(allowed, key=lambda p: (_grid_ecc(p, extremes), p))
+    peripheral = True
+    while True:
+        _metric("metrics.bfs_runs").inc()
+        distances = bfs_distances(source, allowed)
+        if len(distances) < len(allowed):
+            raise ValueError(
+                f"{len(allowed) - len(distances)} points are unreachable "
+                f"from {source} within the allowed set"
+            )
+        ecc = max(distances[p] for p in points)
+        on_shape = source in points
+        for point in candidates:
+            d = distances[point]
+            lower[point] = max(lower[point], ecc - d, d if on_shape else 0)
+            upper[point] = min(upper[point], ecc + d)
+        best = max(best, max(lower[p] for p in candidates))
+        candidates = [p for p in candidates if upper[p] > best]
+        if not candidates:
+            return best
+        if peripheral:
+            source = max(candidates, key=upper.__getitem__)
+        else:
+            source = min(candidates, key=lower.__getitem__)
+        peripheral = not peripheral
 
 
 @dataclass(frozen=True)
@@ -137,24 +252,35 @@ class ShapeMetrics:
 
 
 def compute_metrics(shape: Shape) -> ShapeMetrics:
-    """Compute all metrics of a connected shape.
+    """Compute all metrics of a connected shape, exactly.
 
-    The computation is exact (all-sources BFS); it is intended for the shape
-    sizes used in tests and benchmarks (up to a few thousand points).
+    ``D_G`` and the grid eccentricities come from the three axis extremes
+    in O(n).  ``D_A`` (searches through the area) and then ``D`` (searches
+    through the shape) come from BoundingDiameters seeded with those grid
+    eccentricities; each search costs O(n_A), and convex shapes need one or
+    two per diameter.  Raises ``ValueError`` for a disconnected shape.
     """
     if not shape.is_connected():
         raise ValueError("metrics are defined for connected shapes only")
     points = shape.points
     area = shape.area_points
-    diameter = diameter_within(points, points)
-    area_diameter = diameter_within(points, area)
+    extremes = _axis_extremes(points)
+    lower = {p: _grid_ecc(p, extremes) for p in points}
+    grid_diam = max(lower.values())
+    holes = shape.holes
+    # Both searches share the lower bounds: an eccentricity through the
+    # area is also a lower bound on the one through the shape.  Without
+    # holes the area is the shape, so D = D_A.
+    area_diameter = _bounding_diameter(points, area, lower, extremes)
+    diameter = (_bounding_diameter(points, points, lower, extremes)
+                if holes else area_diameter)
     return ShapeMetrics(
         n=len(points),
         n_area=len(area),
         diameter=diameter,
         area_diameter=area_diameter,
-        grid_diam=grid_diameter(points),
+        grid_diam=grid_diam,
         l_out=shape.outer_boundary_length,
         l_max=shape.max_boundary_length,
-        num_holes=len(shape.holes),
+        num_holes=len(holes),
     )

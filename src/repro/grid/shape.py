@@ -804,11 +804,12 @@ class Shape:
         )
 
     def inner_boundary(self, hole_index: int) -> FrozenSet[Point]:
-        """Points of the shape adjacent to the given hole."""
+        """Points of the shape adjacent to the given hole: the occupied
+        neighbours of its points, so the cost is the hole's size."""
         hole = self.holes[hole_index]
+        points = self._points
         return frozenset(
-            p for p in self._points
-            if any(u in hole for u in neighbors_interned(p))
+            u for p in hole for u in neighbors_interned(p) if u in points
         )
 
     @property

@@ -38,6 +38,8 @@ KNOWN_METRICS: FrozenSet[str] = frozenset({
     # incremental shape maintenance (grid/shape.py)
     "shape.delta_replays", "shape.deltas_applied", "shape.face_floods",
     "shape.rebuilds", "shape.refloods",
+    # exact shape metrics (grid/metrics.py): one per breadth-first search
+    "metrics.bfs_runs",
     # sweep outcome counters (orchestrator/pool.py); the per-source
     # counter is "sweep." + source with "-" mapped to "_"
     "sweep.executed", "sweep.cached", "sweep.resumed", "sweep.gave_up",

@@ -715,6 +715,7 @@ STRICT_TARGETS = (
     "src/repro/state.py",
     "src/repro/telemetry",
     "src/repro/orchestrator/transport.py",
+    "src/repro/grid/metrics.py",
     "src/repro/lint",
 )
 

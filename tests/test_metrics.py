@@ -4,11 +4,13 @@ import pytest
 
 from repro.grid.coords import grid_distance
 from repro.grid.generators import (
+    SHAPE_FAMILIES,
     annulus,
     comb,
     hexagon,
     hexagon_with_holes,
     line_shape,
+    make_shape,
     random_blob,
 )
 from repro.grid.metrics import (
@@ -17,10 +19,20 @@ from repro.grid.metrics import (
     compute_metrics,
     diameter_within,
     eccentricity_within,
+    flood_depth,
     grid_diameter,
     grid_eccentricity,
 )
 from repro.grid.shape import Shape
+from repro.telemetry import MetricsRegistry, use_registry
+
+
+def pairwise_grid_diameter(points):
+    """Brute-force ``D_G``: the largest grid distance over all pairs."""
+    ordered = sorted(points)
+    return max((grid_distance(a, b)
+                for i, a in enumerate(ordered) for b in ordered[i + 1:]),
+               default=0)
 
 
 class TestBFS:
@@ -62,14 +74,56 @@ class TestBFS:
             diameter_within(set(), set())
 
 
+class TestFloodDepth:
+    def test_single_source_is_eccentricity(self):
+        shape = line_shape(7)
+        assert flood_depth([(0, 0)], shape.points) == 6
+        assert flood_depth([(3, 0)], shape.points) == 3
+
+    def test_sources_flood_together(self):
+        shape = line_shape(9)
+        assert flood_depth([(0, 0), (8, 0)], shape.points) == 4
+
+    def test_whole_set_as_sources_is_zero(self):
+        shape = hexagon(2)
+        assert flood_depth(shape.points, shape.points) == 0
+
+    def test_outer_boundary_flood_of_hexagon(self):
+        shape = hexagon(4)
+        assert flood_depth(shape.outer_boundary, shape.points) == 4
+
+    def test_unreachable_point_raises(self):
+        with pytest.raises(ValueError, match="unreachable"):
+            flood_depth([(0, 0)], {(0, 0), (5, 5)})
+
+    def test_source_outside_allowed_raises(self):
+        with pytest.raises(ValueError):
+            flood_depth([(9, 9)], {(0, 0)})
+
+    def test_no_source_raises(self):
+        with pytest.raises(ValueError):
+            flood_depth([], {(0, 0)})
+
+
 class TestGridMetrics:
     def test_grid_eccentricity(self):
         shape = hexagon(3)
         assert grid_eccentricity((0, 0), shape.points) == 3
         assert grid_eccentricity((3, 0), shape.points) == 6
 
+    def test_grid_eccentricity_matches_pairwise(self):
+        shape = random_blob(60, seed=4)
+        for source in [(0, 0), (7, -3), (-12, 5)]:
+            assert grid_eccentricity(source, shape.points) == max(
+                grid_distance(source, p) for p in shape.points)
+
     def test_grid_diameter_hexagon(self):
         assert grid_diameter(hexagon(4).points) == 8
+
+    def test_grid_diameter_matches_pairwise(self):
+        for shape in (comb(4, 3), random_blob(80, seed=2), annulus(5, 3)):
+            assert (grid_diameter(shape.points)
+                    == pairwise_grid_diameter(shape.points))
 
     def test_grid_diameter_single_point(self):
         assert grid_diameter({(0, 0)}) == 0
@@ -131,3 +185,31 @@ class TestComputeMetrics:
         assert metrics.n == 1
         assert metrics.diameter == 0
         assert metrics.l_out == 1
+
+
+class TestExactAgainstBruteForce:
+    """The fast metrics must equal the brute-force definitions exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", sorted(SHAPE_FAMILIES))
+    def test_family_metrics_equal_oracle(self, family, size, seed):
+        shape = make_shape(family, size, seed)
+        points, area = shape.points, shape.area_points
+        metrics = compute_metrics(shape)
+        assert metrics.diameter == diameter_within(points, points)
+        assert metrics.area_diameter == diameter_within(points, area)
+        assert metrics.grid_diam == pairwise_grid_diameter(points)
+        assert metrics.n == len(points)
+        assert metrics.n_area == len(area)
+
+
+def test_large_hexagon_needs_few_searches():
+    """Guards against a quadratic regression without a timer: a side-64
+    hexagon (12,481 points) is settled by a handful of searches."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        metrics = compute_metrics(make_shape("hexagon", 64))
+    assert metrics.diameter == metrics.area_diameter == 128
+    assert metrics.grid_diam == 128
+    assert registry.counter("metrics.bfs_runs").value <= 8

@@ -17,7 +17,12 @@ from repro.core.dle import DLEAlgorithm, verify_unique_leader
 from repro.core.obd import BoundaryCompetition, OuterBoundaryDetection
 from repro.grid.coords import disk, grid_distance, ring
 from repro.grid.generators import random_blob, random_holey_blob
-from repro.grid.metrics import compute_metrics
+from repro.grid.metrics import (
+    bfs_distances,
+    compute_metrics,
+    diameter_within,
+    flood_depth,
+)
 from repro.grid.shape import Shape
 
 # Property tests run whole algorithm executions; keep the example counts
@@ -110,6 +115,45 @@ class TestShapeProperties:
             assert sce
             current = current.without(sce[0])
             assert current.is_simply_connected()
+
+
+def _brute_force_diameters(shape):
+    """``(D, D_A, D_G)`` straight from the definitions: one search per
+    point, and the grid distance over every pair."""
+    points = shape.points
+    pairwise = max((grid_distance(a, b) for a in points for b in points),
+                   default=0)
+    return (diameter_within(points, points),
+            diameter_within(points, shape.area_points),
+            pairwise)
+
+
+class TestMetricOracles:
+    """Fast metrics and the multi-source flood against brute force."""
+
+    @FAST
+    @given(shape=blob_strategy)
+    def test_metrics_equal_brute_force_on_blobs(self, shape):
+        metrics = compute_metrics(shape)
+        assert ((metrics.diameter, metrics.area_diameter, metrics.grid_diam)
+                == _brute_force_diameters(shape))
+
+    @FAST
+    @given(shape=holey_blob_strategy)
+    def test_metrics_equal_brute_force_on_holey_blobs(self, shape):
+        metrics = compute_metrics(shape)
+        assert ((metrics.diameter, metrics.area_diameter, metrics.grid_diam)
+                == _brute_force_diameters(shape))
+
+    @FAST
+    @given(shape=holey_blob_strategy, data=st.data())
+    def test_flood_depth_equals_min_over_single_sources(self, shape, data):
+        points = sorted(shape.points)
+        sources = data.draw(st.lists(st.sampled_from(points), min_size=1,
+                                     max_size=8, unique=True))
+        per_source = [bfs_distances(s, shape.points) for s in sources]
+        expected = max(min(d[p] for d in per_source) for p in points)
+        assert flood_depth(sources, shape.points) == expected
 
 
 class TestAlgorithmProperties:

@@ -139,10 +139,11 @@ class TestBoundaries:
         assert not (outer & inner[0])
 
     def test_inner_boundary_adjacent_to_hole(self):
-        shape = annulus(4, 1)
-        hole = shape.holes[0]
-        for p in shape.inner_boundary(0):
-            assert any(u in hole for u in neighbors(p))
+        for shape in (annulus(4, 1), hexagon_with_holes(7)):
+            for index, hole in enumerate(shape.holes):
+                assert shape.inner_boundary(index) == {
+                    p for p in shape.points
+                    if any(u in hole for u in neighbors(p))}
 
     def test_max_boundary_length(self):
         shape = annulus(5, 2)
