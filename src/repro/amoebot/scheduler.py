@@ -115,31 +115,54 @@ def _draw_random_keys(ids: List[int], rng: random.Random):
     return _key_function(ids, list(islice(iter(rand, None), len(ids))))
 
 
+#: Smallest population whose ``random``-order keys come from numpy (see
+#: :class:`_UniformKeyStream`).  Below it the stdlib generator is as fast
+#: per round and skips the import and the state copy; EXPERIMENTS.md
+#: ("Optional numpy") has the timings it was picked from.
+NUMPY_MIN_POPULATION = 4096
+
+
+def _numpy_for(population: int) -> Any:
+    """The numpy module when a stream over ``population`` particles should
+    use it and it is importable, else None.  The import happens here, on
+    first use, so runs below the threshold never load numpy."""
+    if population < NUMPY_MIN_POPULATION:
+        return None
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
+
+
 class _UniformKeyStream:
     """Bulk source of the ``random`` policy's per-round keys.
 
     Produces floats **bit-identical** to calling ``rng.random()`` once per
-    particle: when numpy is importable, the stdlib generator's Mersenne
-    Twister state is transplanted into a ``numpy.random.RandomState`` —
-    both implement the same MT19937 and the same 53-bit double derivation
-    — and the keys are drawn in one C call per round; without numpy the
-    stdlib generator itself is used.  Either way the engines consume the
-    exact same key sequence, so traces and round counts are engine- and
-    numpy-independent (asserted by tests/test_scheduler.py).
+    particle.  For a population of at least :data:`NUMPY_MIN_POPULATION`
+    particles, and when numpy is importable, the stdlib generator's
+    Mersenne Twister state is transplanted into a
+    ``numpy.random.RandomState`` — both implement the same MT19937 and the
+    same 53-bit double derivation — and the keys are drawn in one C call
+    per round.  Otherwise the stdlib generator itself is used, and numpy
+    is never imported.  Either way the engines consume the exact same key
+    sequence, so traces and round counts are engine- and
+    backend-independent (asserted by tests/test_scheduler.py).
+    ``backend`` names the one in use: ``"numpy"`` or ``"stdlib"``.
 
     ``getstate()``/``setstate()`` expose the stream position in one
     canonical JSON-ready form — ``{"key": [624 words], "pos": int}`` —
-    regardless of which backend produced it, so a checkpoint written on a
-    numpy build restores bit-identically on a pure-Python build and vice
-    versa (the two backends share the MT19937 state layout).
+    regardless of which backend produced it, so either backend restores
+    the other's checkpoints bit-identically (the two share the MT19937
+    state layout).
     """
 
-    __slots__ = ("draw", "draw_raw", "getstate", "setstate")
+    __slots__ = ("backend", "draw", "draw_raw", "getstate", "setstate")
 
-    def __init__(self, rng: random.Random) -> None:
-        try:
-            import numpy
-        except ImportError:
+    def __init__(self, rng: random.Random, population: int) -> None:
+        numpy = _numpy_for(population)
+        if numpy is None:
+            self.backend = "stdlib"
             rand = rng.random
             self.draw = lambda n: list(islice(iter(rand, None), n))
             self.draw_raw = self.draw
@@ -156,6 +179,7 @@ class _UniformKeyStream:
             self.getstate = getstate
             self.setstate = setstate
         else:
+            self.backend = "numpy"
             internal = rng.getstate()[1]
             state = numpy.random.RandomState()
             state.set_state(("MT19937",
@@ -382,7 +406,7 @@ class SequentialScheduler:
         # the bulk stream (same floats, one C call per round).  Custom
         # policies receive ``rng`` directly and keep the plain path.
         if not self._validate_order and self.order_name == "random":
-            self._key_stream = _UniformKeyStream(rng)
+            self._key_stream = _UniformKeyStream(rng, len(system))
         else:
             self._key_stream = None
         activations = 0

@@ -50,6 +50,20 @@ to them.  Three consumers are built on the events:
   snapshot's memoised connectivity / outer-face / hole state through those
   deltas (:meth:`repro.grid.shape.Shape._apply_deltas`) instead of
   recomputing the geometry from scratch.
+
+Random streams
+--------------
+
+:meth:`ParticleSystem.from_shape` draws each particle's orientation from
+the stdlib generator, ``random.Random(seed).randrange(6)`` in id order.
+Building a system never imports numpy: the import alone costs more than
+the draws of any shape a sweep cell builds.  numpy is an optional
+accelerator of the ``random`` activation order only, and only for
+populations of at least
+:data:`~repro.amoebot.scheduler.NUMPY_MIN_POPULATION` particles (see
+:class:`~repro.amoebot.scheduler._UniformKeyStream`).  Both backends draw
+the same numbers, so records do not depend on the population or on
+whether numpy is installed.
 """
 
 from __future__ import annotations
@@ -86,32 +100,12 @@ class IllegalMoveError(RuntimeError):
 
 def _draw_orientations(seed: int, count: int) -> List[int]:
     """The orientation stream of :meth:`ParticleSystem.from_shape`:
-    ``count`` draws of ``random.Random(seed).randrange(6)``.
-
-    When numpy is importable the stdlib generator's Mersenne Twister state
-    is transplanted into a ``numpy.random.MT19937`` bit generator and the
-    rejection sampling ``randrange`` performs (top three bits of one raw
-    word per attempt, retried while >= 6) is replayed vectorised — the
-    resulting sequence is integer-identical to the stdlib draws, just bulk
-    (asserted by tests/test_system.py)."""
-    rng = random.Random(seed)
-    try:
-        import numpy
-    except ImportError:
-        return [rng.randrange(6) for _ in range(count)]
-    internal = rng.getstate()[1]
-    bits = numpy.random.MT19937()
-    bits.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": numpy.array(internal[:-1], dtype=numpy.uint32),
-                  "pos": internal[-1]},
-    }
-    out: List[int] = []
-    while len(out) < count:
-        words = bits.random_raw(2 * (count - len(out)) + 8)
-        draws = words >> 29
-        out.extend(draws[draws < 6][:count - len(out)].tolist())
-    return out
+    ``count`` draws of ``random.Random(seed).randrange(6)``, straight from
+    the stdlib generator.  At a few hundred nanoseconds a draw this is
+    cheaper than importing numpy for all but the largest shapes, and it
+    keeps every system build free of the numpy import."""
+    randrange = random.Random(seed).randrange
+    return [randrange(6) for _ in range(count)]
 
 
 class ParticleSystem:

@@ -24,6 +24,7 @@ pure function of its arguments (random generators take an explicit seed).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .coords import Point, disk, grid_distance, line, neighbor, neighbors, ring, translate
@@ -115,15 +116,25 @@ def random_blob(n: int, seed: int = 0, center: Point = ORIGIN) -> Shape:
         raise ValueError("n must be positive")
     rng = random.Random(seed)
     points: Set[Point] = {center}
-    frontier: Set[Point] = set(neighbors(center))
+    # The frontier (empty points next to the blob) is kept sorted, so each
+    # draw sees the list a fresh ``sorted(frontier)`` would build; ``seen``
+    # holds the blob and its frontier.
+    frontier: List[Point] = sorted(neighbors(center))
+    seen: Set[Point] = {center, *frontier}
     while len(points) < n:
-        candidate = rng.choice(sorted(frontier))
+        candidate = rng.choice(frontier)
         points.add(candidate)
-        frontier.discard(candidate)
+        _remove_sorted(frontier, candidate)
         for u in neighbors(candidate):
-            if u not in points:
-                frontier.add(u)
+            if u not in seen:
+                seen.add(u)
+                insort(frontier, u)
     return Shape(points)
+
+
+def _remove_sorted(items: List[Point], item: Point) -> None:
+    """Remove ``item``, which must be present, from the sorted list."""
+    del items[bisect_left(items, item)]
 
 
 def hexagon_with_holes(radius: int, hole_radius: int = 1,
@@ -277,33 +288,48 @@ def random_connected(n: int, hole_density: float = 0.1, seed: int = 0,
         raise ValueError("hole_density must be in [0, 0.2]")
     rng = random.Random(seed)
     points: Set[Point] = {center}
-    frontier: Set[Point] = set(neighbors(center))
-    holes: Set[Point] = set()
+    # ``touching[p]`` counts the occupied neighbours of each point in or
+    # next to the shape.  Three sorted lists follow every growth and punch,
+    # so each draw sees the list a rescan would build: the frontier (empty
+    # points next to the shape, never a hole, as holes touch only occupied
+    # points), the frontier points touching two or more occupied points,
+    # and the interior points (all six neighbours occupied).
+    touching: Dict[Point, int] = dict.fromkeys(neighbors(center), 1)
+    touching[center] = 0
+    frontier: List[Point] = sorted(neighbors(center))
+    compact: List[Point] = []
+    interior: List[Point] = []
 
     def grow_one() -> None:
-        candidates = sorted(frontier - holes)
-        compact = [c for c in candidates
-                   if sum(1 for u in neighbors(c) if u in points) >= 2]
-        candidate = rng.choice(compact or candidates)
+        candidate = rng.choice(compact or frontier)
+        _remove_sorted(frontier, candidate)
+        if touching[candidate] >= 2:
+            _remove_sorted(compact, candidate)
         points.add(candidate)
-        frontier.discard(candidate)
+        if touching[candidate] == 6:
+            insort(interior, candidate)
         for u in neighbors(candidate):
-            if u not in points:
-                frontier.add(u)
+            count = touching[u] = touching.get(u, 0) + 1
+            if u in points:
+                if count == 6:
+                    insort(interior, u)
+            elif count == 1:
+                insort(frontier, u)
+            elif count == 2:
+                insort(compact, u)
 
     while len(points) < n:
         grow_one()
-    target_holes = int(round(hole_density * n))
-    attempts = 0
-    while len(holes) < target_holes and attempts < 20 * max(1, target_holes):
-        attempts += 1
-        interior = [p for p in sorted(points)
-                    if all(u in points for u in neighbors(p))]
+    for _ in range(int(round(hole_density * n))):
         if not interior:
             break
         hole = rng.choice(interior)
+        _remove_sorted(interior, hole)
         points.discard(hole)
-        holes.add(hole)
+        for u in neighbors(hole):
+            if touching[u] == 6:
+                _remove_sorted(interior, u)
+            touching[u] -= 1
         grow_one()
     return Shape(points)
 

@@ -194,34 +194,64 @@ def _bounding_diameter(points: AbstractSet[Point], allowed: AbstractSet[Point],
     point, which may raise the diameter) and the one with the smallest
     lower bound (a central point, which tightens the upper bounds).
     """
-    best = max(lower.values())
-    upper = dict.fromkeys(points, len(allowed))
-    candidates = sorted(points)
-    source = min(allowed, key=lambda p: (_grid_ecc(p, extremes), p))
+    # Number ``allowed`` once, in sorted order, so every search runs over
+    # integer adjacency lists and a distance list.  Ascending indices are
+    # sorted points, so the candidate list and the first-wins ties of
+    # ``min``/``max`` pick the same sources as a search over the points.
+    order = sorted(allowed)
+    size = len(order)
+    index = {point: i for i, point in enumerate(order)}
+    get = index.get
+    adjacency = [[j for j in map(get, neighbors_interned(point))
+                  if j is not None] for point in order]
+    members = [i for i, point in enumerate(order) if point in points]
+    low = [0] * size
+    for i in members:
+        low[i] = lower[order[i]]
+    upper = [size] * size
+    best = max(map(low.__getitem__, members))
+    candidates = members
+    source = min(range(size), key=lambda i: _grid_ecc(order[i], extremes))
     peripheral = True
     while True:
         _metric("metrics.bfs_runs").inc()
-        distances = bfs_distances(source, allowed)
-        if len(distances) < len(allowed):
+        dist = [-1] * size
+        dist[source] = 0
+        queue = [source]
+        for current in queue:
+            step = dist[current] + 1
+            for nxt in adjacency[current]:
+                if dist[nxt] < 0:
+                    dist[nxt] = step
+                    queue.append(nxt)
+        if len(queue) < size:
             raise ValueError(
-                f"{len(allowed) - len(distances)} points are unreachable "
-                f"from {source} within the allowed set"
+                f"{size - len(queue)} points are unreachable "
+                f"from {order[source]} within the allowed set"
             )
-        ecc = max(distances[p] for p in points)
-        on_shape = source in points
-        for point in candidates:
-            d = distances[point]
-            lower[point] = max(lower[point], ecc - d, d if on_shape else 0)
-            upper[point] = min(upper[point], ecc + d)
-        best = max(best, max(lower[p] for p in candidates))
-        candidates = [p for p in candidates if upper[p] > best]
+        ecc = max(map(dist.__getitem__, members))
+        on_shape = order[source] in points
+        for i in candidates:
+            d = dist[i]
+            bound = ecc - d
+            if on_shape and d > bound:
+                bound = d
+            if bound > low[i]:
+                low[i] = bound
+            if ecc + d < upper[i]:
+                upper[i] = ecc + d
+        best = max(best, max(map(low.__getitem__, candidates)))
+        candidates = [i for i in candidates if upper[i] > best]
         if not candidates:
-            return best
+            break
         if peripheral:
             source = max(candidates, key=upper.__getitem__)
         else:
-            source = min(candidates, key=lower.__getitem__)
+            source = min(candidates, key=low.__getitem__)
         peripheral = not peripheral
+    for i in members:
+        lower[order[i]] = low[i]
+    return best
 
 
 @dataclass(frozen=True)

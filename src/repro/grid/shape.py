@@ -795,12 +795,13 @@ class Shape:
 
     @property
     def outer_boundary(self) -> FrozenSet[Point]:
-        """Points of the shape adjacent to the outer face."""
-        self._compute_faces()
+        """Points of the shape adjacent to the outer face.  Every empty
+        point lies in a hole or in the outer face, so these are the points
+        with a neighbour outside the area."""
+        area = self.area_points
         return frozenset(
             p for p in self._points
-            if any(self.point_in_outer_face(u) for u in neighbors_interned(p)
-                   if u not in self._points)
+            if not area.issuperset(neighbors_interned(p))
         )
 
     def inner_boundary(self, hole_index: int) -> FrozenSet[Point]:
@@ -929,23 +930,43 @@ class Shape:
             return list(self._rings)
         if len(self._points) < 2:
             raise ValueError("virtual rings require a shape with >= 2 points")
-        self._compute_faces()
-        unvisited: Set[VNode] = set(self.all_vnodes())
+        area = self.area_points
+        # Every v-node once, sorted by (point, boundary): each ring starts
+        # at the first v-node no earlier ring visited.  ``slot`` maps a
+        # boundary point and one direction of a local boundary to the
+        # index of that boundary's v-node, which is how a walk finds the
+        # successor v-node containing the common point (Observation 3).
+        vnodes = sorted(self.all_vnodes(),
+                        key=lambda v: (v.point, v.boundary))
+        slot: Dict[Tuple[Point, int], int] = {}
+        for index, vnode in enumerate(vnodes):
+            for direction in vnode.boundary:
+                slot[vnode.point, direction] = index
+        visited = [False] * len(vnodes)
         rings: List[VirtualRing] = []
-        while unvisited:
-            start = min(unvisited, key=lambda v: (v.point, v.boundary))
+        for start in range(len(vnodes)):
+            if visited[start]:
+                continue
             ordered: List[VNode] = []
             is_outer = False
             current = start
             while True:
-                ordered.append(current)
-                unvisited.discard(current)
-                nxt, common = self.clockwise_successor(current)
-                if self.point_in_outer_face(common):
+                visited[current] = True
+                vnode = vnodes[current]
+                ordered.append(vnode)
+                last = vnode.last_direction
+                common = neighbor(vnode.point, last)
+                successor = neighbor(vnode.point, (last + 1) % NUM_DIRECTIONS)
+                current = slot.get(
+                    (successor, direction_between(successor, common)), -1)
+                if current < 0:
+                    raise RuntimeError(
+                        f"no v-node of {successor} contains the common "
+                        f"point {common}")
+                if common not in area:  # empty and in no hole
                     is_outer = True
-                if nxt == start:
+                if current == start:
                     break
-                current = nxt
             rings.append(VirtualRing(tuple(ordered), is_outer))
         rings.sort(key=lambda ring: (not ring.is_outer, sorted(ring.points)[0]))
         self._rings = rings

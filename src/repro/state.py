@@ -17,9 +17,9 @@ another process (or another machine) flows through here:
 
 What is serialized is the *explicit state protocol* only: particle
 phases and memories, algorithm-private state (actionable sets, wait
-counts), RNG streams (the stdlib generator and the numpy MT19937
-transplant behind the bulk ``random`` order), round/activation counters
-and the event engine's parked/done sets.  Derived caches — the neighbor
+counts), RNG streams (the stdlib generator and the key stream of the
+bulk ``random`` order, in one form for its stdlib and numpy backends),
+round/activation counters and the event engine's parked/done sets.  Derived caches — the neighbor
 index, the incremental :class:`~repro.grid.shape.Shape` snapshot, the
 occupancy-version caches — are deliberately **not** serialized: restore
 rebuilds them, and the fuzz tests in ``tests/test_checkpoint.py`` prove

@@ -34,6 +34,8 @@ from repro.state import (
     write_checkpoint,
 )
 
+from test_scheduler import key_stream_population
+
 
 class Kill(Exception):
     """Simulated SIGKILL raised from the on_checkpoint callback."""
@@ -52,7 +54,39 @@ def _bomb(counter=None):
 # RNG stream round-trips
 # ---------------------------------------------------------------------------
 
-class TestRngRoundTrip:
+class KeyStreamRoundTrips:
+    """Checkpoint round trips of the ``random`` order's key stream on one
+    backend; the ``Test`` classes below run them on each."""
+
+    backend = "stdlib"
+
+    def test_key_stream_roundtrips_mid_stream(self):
+        # The stream must restore mid-stream from its canonical
+        # {"key", "pos"} form and continue bit-identically.
+        population = key_stream_population(self.backend)
+        stream = _UniformKeyStream(random.Random(99), population)
+        stream.draw(501)  # advance past a twist boundary
+        state = json.loads(json.dumps(stream.getstate()))
+        assert set(state) == {"key", "pos"}
+        assert len(state["key"]) == 624
+        clone = _UniformKeyStream(random.Random(0), population)
+        clone.setstate(state)
+        assert clone.draw(400) == stream.draw(400)
+
+    def test_key_stream_matches_stdlib_after_restore(self):
+        # Restoring the canonical form must keep the stream equal to the
+        # plain rng.random() sequence from the same logical position.
+        population = key_stream_population(self.backend)
+        reference = random.Random(5)
+        stream = _UniformKeyStream(random.Random(5), population)
+        stream.draw(100)
+        [reference.random() for _ in range(100)]
+        clone = _UniformKeyStream(random.Random(1), population)
+        clone.setstate(json.loads(json.dumps(stream.getstate())))
+        assert clone.draw(50) == [reference.random() for _ in range(50)]
+
+
+class TestRngRoundTrip(KeyStreamRoundTrips):
     def test_stdlib_rng_roundtrips_bit_identically(self):
         rng = random.Random(1234)
         [rng.random() for _ in range(137)]  # advance mid-stream
@@ -72,29 +106,25 @@ class TestRngRoundTrip:
         with pytest.raises(CheckpointError):
             decode_rng({"state": "nope"})
 
-    def test_key_stream_roundtrips_mid_stream(self):
-        # The bulk key stream (numpy MT19937 transplant when available,
-        # stdlib otherwise) must restore mid-stream from its canonical
-        # {"key", "pos"} form and continue bit-identically.
-        stream = _UniformKeyStream(random.Random(99))
-        stream.draw(501)  # advance past a twist boundary
-        state = json.loads(json.dumps(stream.getstate()))
-        assert set(state) == {"key", "pos"}
-        assert len(state["key"]) == 624
-        clone = _UniformKeyStream(random.Random(0))
-        clone.setstate(state)
-        assert clone.draw(400) == stream.draw(400)
 
-    def test_key_stream_matches_stdlib_after_restore(self):
-        # Restoring the canonical form must keep the stream equal to the
-        # plain rng.random() sequence from the same logical position.
-        reference = random.Random(5)
-        stream = _UniformKeyStream(random.Random(5))
-        stream.draw(100)
-        [reference.random() for _ in range(100)]
-        clone = _UniformKeyStream(random.Random(1))
-        clone.setstate(json.loads(json.dumps(stream.getstate())))
-        assert clone.draw(50) == [reference.random() for _ in range(50)]
+class TestKeyStreamOnNumpy(KeyStreamRoundTrips):
+    backend = "numpy"
+
+
+@pytest.mark.parametrize("saver,loader", [("stdlib", "numpy"),
+                                          ("numpy", "stdlib")])
+def test_key_stream_restores_across_backends(saver, loader):
+    """A state saved by one backend continues bit-identically on the other:
+    a run may cross ``NUMPY_MIN_POPULATION`` between checkpoint and resume
+    (shape faults add and remove particles), or resume on a host without
+    numpy."""
+    stream = _UniformKeyStream(random.Random(11), key_stream_population(saver))
+    stream.draw(777)  # past a twist boundary
+    state = json.loads(json.dumps(stream.getstate()))
+    clone = _UniformKeyStream(random.Random(0), key_stream_population(loader))
+    assert (stream.backend, clone.backend) == (saver, loader)
+    clone.setstate(state)
+    assert clone.draw(700) == stream.draw(700)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ events is a pure performance transformation, never a semantic one.
 
 import pytest
 
+from repro.amoebot import scheduler as scheduler_module
 from repro.amoebot.algorithm import STATUS_KEY, AmoebotAlgorithm
 from repro.amoebot.scheduler import (
     ENGINES,
@@ -193,6 +194,30 @@ class TestConservativeDefault:
         system = ParticleSystem.from_shape(hexagon(2))
         with pytest.raises(ValueError):
             EventDrivenScheduler(order=broken).run(DLEAlgorithm(), system)
+
+
+class TestKeyStreamBackends:
+    @pytest.mark.parametrize("engine", ["sweep", "event"])
+    def test_dle_identical_on_both_backends(self, engine, monkeypatch):
+        """A run at NUMPY_MIN_POPULATION or above draws its ``random``
+        order keys from numpy; forcing the stdlib stream on the same run
+        must not change a single round."""
+        pytest.importorskip("numpy")
+        shape = hexagon(37)
+        assert len(shape) >= scheduler_module.NUMPY_MIN_POPULATION
+
+        def run():
+            system = ParticleSystem.from_shape(shape, orientation_seed=1)
+            digests = []
+            result = make_scheduler(engine, order="random", seed=1).run(
+                DLEAlgorithm(), system, round_hook=lambda r, s: digests.append(
+                    hash(tuple(sorted(s.snapshot().items())))))
+            return result.rounds, result.moves, result.activations, digests
+
+        on_numpy = run()
+        monkeypatch.setattr(scheduler_module, "NUMPY_MIN_POPULATION",
+                            len(shape) + 1)
+        assert run() == on_numpy
 
 
 class TestPipelinesAcrossEngines:

@@ -1,8 +1,10 @@
 """Tests for the shape generators used by the benchmark workloads."""
 
+import random
+
 import pytest
 
-from repro.grid.coords import grid_distance
+from repro.grid.coords import grid_distance, neighbors_interned
 from repro.grid.generators import (
     SHAPE_FAMILIES,
     annulus,
@@ -13,10 +15,66 @@ from repro.grid.generators import (
     make_shape,
     parallelogram,
     random_blob,
+    random_connected,
     random_holey_blob,
     spiral,
     triangle,
 )
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the random generators as plain rescans.  Every step re-sorts the
+# frontier and recounts neighbours (and every punch rescans every point), so
+# each draw provably sees the sorted candidate list; the generators keep
+# those lists sorted incrementally and must build the same shapes.
+# ---------------------------------------------------------------------------
+
+def rescan_random_blob(n, seed=0, center=(0, 0)):
+    rng = random.Random(seed)
+    points = {center}
+    frontier = set(neighbors_interned(center))
+    while len(points) < n:
+        candidate = rng.choice(sorted(frontier))
+        points.add(candidate)
+        frontier.discard(candidate)
+        for u in neighbors_interned(candidate):
+            if u not in points:
+                frontier.add(u)
+    return frozenset(points)
+
+
+def rescan_random_connected(n, hole_density=0.1, seed=0, center=(0, 0)):
+    rng = random.Random(seed)
+    points = {center}
+    frontier = set(neighbors_interned(center))
+    holes = set()
+
+    def grow_one():
+        candidates = sorted(frontier - holes)
+        compact = [c for c in candidates
+                   if len(points.intersection(neighbors_interned(c))) >= 2]
+        candidate = rng.choice(compact or candidates)
+        points.add(candidate)
+        frontier.discard(candidate)
+        for u in neighbors_interned(candidate):
+            if u not in points:
+                frontier.add(u)
+
+    while len(points) < n:
+        grow_one()
+    target_holes = int(round(hole_density * n))
+    attempts = 0
+    while len(holes) < target_holes and attempts < 20 * max(1, target_holes):
+        attempts += 1
+        interior = [p for p in sorted(points)
+                    if points.issuperset(neighbors_interned(p))]
+        if not interior:
+            break
+        hole = rng.choice(interior)
+        points.discard(hole)
+        holes.add(hole)
+        grow_one()
+    return frozenset(points)
 
 
 class TestHexagonFamily:
@@ -109,6 +167,24 @@ class TestRandomBlobs:
             random_holey_blob(3)
         with pytest.raises(ValueError):
             random_holey_blob(50, hole_fraction=0.95)
+
+
+class TestRescanOracles:
+    @pytest.mark.parametrize("size", range(1, 11))
+    def test_random_blob_matches_rescan(self, size):
+        n = 3 * size * size + 1  # the blob family's particle count
+        for seed in range(20):
+            assert random_blob(n, seed=seed).points == \
+                rescan_random_blob(n, seed=seed)
+
+    @pytest.mark.parametrize("size", range(1, 11))
+    @pytest.mark.parametrize("density", [0.0, 0.08, 0.2])
+    def test_random_connected_matches_rescan(self, size, density):
+        n = 3 * size * size + 7  # the random_connected family's count
+        for seed in range(20):
+            assert random_connected(n, hole_density=density,
+                                    seed=seed).points == \
+                rescan_random_connected(n, hole_density=density, seed=seed)
 
 
 class TestHoleyFamilies:

@@ -1,9 +1,19 @@
 """Tests for the strong scheduler: rounds, fairness, activation orders."""
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
 from repro.amoebot.algorithm import AmoebotAlgorithm
-from repro.amoebot.scheduler import Scheduler, run_algorithm
+from repro.amoebot.scheduler import (
+    NUMPY_MIN_POPULATION,
+    Scheduler,
+    _UniformKeyStream,
+    run_algorithm,
+)
 from repro.amoebot.system import ParticleSystem
 from repro.grid.generators import hexagon, line_shape
 
@@ -142,27 +152,75 @@ class TestOrders:
         assert seen == [1, 2, 3]
 
 
+def key_stream_population(backend):
+    """A population on the ``backend`` side of ``NUMPY_MIN_POPULATION``;
+    skips the numpy side when numpy is not installed."""
+    if backend == "numpy":
+        pytest.importorskip("numpy")
+        return NUMPY_MIN_POPULATION
+    return NUMPY_MIN_POPULATION - 1
+
+
 class TestUniformKeyStream:
-    """The bulk key stream must be float-identical to the stdlib draws —
-    this is what makes traces independent of whether numpy is installed."""
+    """The bulk key stream must be float-identical to the stdlib draws on
+    both backends — this is what makes traces independent of the
+    population size and of whether numpy is installed.  These run the
+    stdlib backend; the subclass below reruns them on numpy."""
+
+    backend = "stdlib"
+
+    def test_population_picks_backend(self):
+        stream = _UniformKeyStream(random.Random(0),
+                                   key_stream_population(self.backend))
+        assert stream.backend == self.backend
 
     def test_matches_stdlib_stream(self):
-        import random as _random
-
-        from repro.amoebot.scheduler import _UniformKeyStream
-
+        population = key_stream_population(self.backend)
         for seed in (0, 1, 7, 12345):
-            reference = _random.Random(seed)
+            reference = random.Random(seed)
             expected = [reference.random() for _ in range(700)]
-            stream = _UniformKeyStream(_random.Random(seed))
+            stream = _UniformKeyStream(random.Random(seed), population)
             got = list(stream.draw(250)) + list(stream.draw(450))
             assert got == expected
 
     def test_raw_draw_matches_converted_draw(self):
-        import random as _random
-
-        from repro.amoebot.scheduler import _UniformKeyStream
-
-        a = _UniformKeyStream(_random.Random(3))
-        b = _UniformKeyStream(_random.Random(3))
+        population = key_stream_population(self.backend)
+        a = _UniformKeyStream(random.Random(3), population)
+        b = _UniformKeyStream(random.Random(3), population)
         assert list(a.draw(100)) == [float(x) for x in b.draw_raw(100)]
+
+
+class TestUniformKeyStreamOnNumpy(TestUniformKeyStream):
+    backend = "numpy"
+
+
+def test_large_population_without_numpy_uses_stdlib(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import raises
+    stream = _UniformKeyStream(random.Random(0), NUMPY_MIN_POPULATION)
+    assert stream.backend == "stdlib"
+    reference = random.Random(0)
+    assert stream.draw(3) == [reference.random() for _ in range(3)]
+
+
+def test_small_sweep_never_imports_numpy():
+    """Building systems and drawing keys below ``NUMPY_MIN_POPULATION``
+    must not load numpy: a fresh interpreter runs the four Table 1
+    algorithms on hexagon/2 and holey/2 and reports ``sys.modules``."""
+    code = (
+        "import sys\n"
+        "from repro.orchestrator import run_sweep\n"
+        "from repro.orchestrator.spec import table1_spec\n"
+        "spec = table1_spec(sizes=[2], families=['hexagon', 'holey'])\n"
+        "counts = run_sweep(spec, jobs=1).counts()\n"
+        "assert counts['executed'] == 8 and counts['failed'] == 0, counts\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

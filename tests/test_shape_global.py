@@ -8,19 +8,47 @@ import pytest
 
 from repro.grid.coords import neighbor, neighbors
 from repro.grid.generators import (
+    SHAPE_FAMILIES,
     annulus,
     comb,
     hexagon,
     hexagon_with_holes,
     line_shape,
+    make_shape,
     parallelogram,
     random_blob,
     spiral,
 )
 from repro.grid.metrics import compute_metrics
-from repro.grid.shape import Shape
+from repro.grid.shape import Shape, VirtualRing
 
 ORIGIN = (0, 0)
+
+
+def walked_virtual_rings(shape):
+    """The rings by the plain walk: start each ring at the smallest
+    unvisited v-node and follow :meth:`Shape.clockwise_successor`, which
+    recomputes the successor's local boundaries at every step.  The oracle
+    for :meth:`Shape.virtual_rings`."""
+    unvisited = set(shape.all_vnodes())
+    rings = []
+    while unvisited:
+        start = min(unvisited, key=lambda v: (v.point, v.boundary))
+        ordered = []
+        is_outer = False
+        current = start
+        while True:
+            ordered.append(current)
+            unvisited.discard(current)
+            nxt, common = shape.clockwise_successor(current)
+            if shape.point_in_outer_face(common):
+                is_outer = True
+            if nxt == start:
+                break
+            current = nxt
+        rings.append(VirtualRing(tuple(ordered), is_outer))
+    rings.sort(key=lambda ring: (not ring.is_outer, sorted(ring.points)[0]))
+    return rings
 
 
 def triangle_like():
@@ -278,6 +306,13 @@ class TestVirtualRings:
     def test_single_point_shape_has_no_rings(self):
         with pytest.raises(ValueError):
             Shape([ORIGIN]).virtual_rings()
+
+    @pytest.mark.parametrize("family", sorted(SHAPE_FAMILIES))
+    def test_rings_match_the_walk_oracle(self, family):
+        # Same rings, same v-node order, same ring order.
+        for size in range(1, 8):
+            shape = make_shape(family, size, seed=size)
+            assert shape.virtual_rings() == walked_virtual_rings(shape)
 
 
 class TestObservation1:

@@ -380,7 +380,7 @@ class TestChangeEvents:
 
 
 class TestOrientationStream:
-    """from_shape's bulk orientation draws must match the stdlib stream."""
+    """from_shape's orientation draws must match the stdlib stream."""
 
     def test_matches_stdlib_randrange(self):
         import random as _random
