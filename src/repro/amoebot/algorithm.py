@@ -145,6 +145,14 @@ class AmoebotAlgorithm(ABC):
 
     # -- optional hooks -----------------------------------------------------
 
+    def admit(self, particle: Particle, system: ParticleSystem) -> None:
+        """Initialise the memory of a particle a shape fault (see
+        :mod:`repro.amoebot.faults`) added at a round boundary, before
+        anything activates it.  Algorithms that accept shape-fault plans
+        override it; the default refuses."""
+        raise NotImplementedError(
+            f"{type(self).__name__} cannot admit particles added mid-run")
+
     def on_round_end(self, round_index: int, system: ParticleSystem) -> None:
         """Called by the scheduler after each asynchronous round (optional)."""
 

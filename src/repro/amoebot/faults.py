@@ -25,11 +25,15 @@ boundaries.  Three independent fault families:
     boundary — geometry is physical, memory gossip is what lags.
 
 ``shape``
-    Seeded add/remove of boundary particles mid-run.  Removals are
-    validated against the incremental :class:`~repro.grid.shape.Shape`
-    connectivity rules (only non-articulation boundary points go), adds
-    attach a fresh particle to a random empty point adjacent to the
-    shape — both connectivity-preserving by construction.
+    Seeded add/remove of boundary particles mid-run.  A removal takes a
+    contracted boundary particle whose departure leaves the system
+    connected (:func:`removal_keeps_connected`); a system DLE has already
+    disconnected only loses isolated particles whose departure reconnects
+    it.  An add attaches a fresh particle to a random empty point adjacent
+    to the system, and the running algorithm admits it
+    (:meth:`~repro.amoebot.algorithm.AmoebotAlgorithm.admit`): DLE and
+    erosion start it undecided, with eligibility flags read against the
+    current eligible set, like a particle at set-up.
 
 Determinism and engine-independence: every family draws from its own
 ``random.Random`` stream seeded from the plan seed, and every draw
@@ -49,8 +53,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import AbstractSet, Any, Dict, List, Optional, Tuple
 
+from ..grid.coords import Point, neighbors, neighbors_interned
+from ..grid.shape import is_connected, is_redundant
 from ..state import decode_rng, encode_rng
 from .particle import Particle
 from .system import ParticleSystem
@@ -61,6 +67,7 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "charged_fault_overlay",
+    "removal_keeps_connected",
 ]
 
 #: Default ``max_rounds`` cap applied to runs with faults enabled: a
@@ -271,7 +278,8 @@ class FaultInjector:
 
     The owning scheduler calls :meth:`begin_round` at every round
     boundary with an engine-hooks object exposing ``crash(pid)``,
-    ``revive(pid)``, ``wake(pids)`` and ``remove(pid)``; the injector
+    ``revive(pid)``, ``wake(pids)``, ``remove(pid)`` and
+    ``admit(particle)``; the injector
     performs this round's revives, new crashes, shape perturbations and
     stale-view refreshes through those hooks.  All mutation of the
     injector happens here and in :meth:`restore_state`, so the whole
@@ -355,33 +363,34 @@ class FaultInjector:
         if rng.random() < 0.5 and len(system) > 1:
             self._shape_remove(system, hooks, rng)
         else:
-            self._shape_add(system, rng)
+            self._shape_add(system, hooks, rng)
 
-    def _shape_add(self, system: ParticleSystem, rng: random.Random) -> None:
-        from ..grid.coords import neighbors
-
+    def _shape_add(self, system: ParticleSystem, hooks: Any,
+                   rng: random.Random) -> None:
         occupied = system.occupied_points()
         candidates = sorted({u for p in occupied for u in neighbors(p)
                              if u not in occupied})
         if not candidates:
             return
         point = candidates[rng.randrange(len(candidates))]
-        system.add_particle(point, orientation=rng.randrange(6))
+        particle = system.add_particle(point, orientation=rng.randrange(6))
+        hooks.admit(particle)
         self.counters["shape_adds"] += 1
 
     def _shape_remove(self, system: ParticleSystem, hooks: Any,
                       rng: random.Random) -> None:
         shape = system.shape()
+        occupied = shape.points
+        connected = shape.is_connected()
         boundary = sorted(shape.boundary_points)
         rng.shuffle(boundary)
         for point in boundary:
             particle = system.particle_at(point)
             if particle is None or particle.is_expanded:
                 continue
-            # Connectivity-preserving by the incremental Shape rules:
-            # removing an articulation point is rejected here, so the
-            # perturbed system always stays one component.
-            if not shape.without(point).is_connected():
+            # Articulation points are rejected, so a connected system
+            # stays one component.
+            if not removal_keeps_connected(point, occupied, connected):
                 continue
             pid = particle.particle_id
             system.remove_particle(pid)
@@ -487,6 +496,24 @@ class FaultInjector:
         self._views = views
         if views:
             system.set_stale_views(views)
+
+
+def removal_keeps_connected(point: Point, occupied: AbstractSet[Point],
+                            connected: bool) -> bool:
+    """Whether ``occupied - {point}`` is connected, for a ``point`` of
+    ``occupied``; ``connected`` says whether ``occupied`` itself is.
+
+    Exact.  A point with an occupied neighbour cannot reconnect a
+    disconnected set by leaving it, and leaves a connected set connected
+    when it has one local boundary (it is redundant, Proposition 6).
+    Only isolated points and points with several local boundaries run a
+    BFS."""
+    if any(u in occupied for u in neighbors_interned(point)):
+        if not connected:
+            return False
+        if is_redundant(point, occupied):
+            return True
+    return is_connected(occupied - {point})
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,7 @@ from ..state import decode_rng, encode_rng
 from ..telemetry import get_registry as _get_registry
 from .algorithm import QUIESCENT, TERMINATED, AmoebotAlgorithm
 from .faults import FaultInjector, FaultSpec
+from .particle import Particle
 from .system import ParticleSystem
 
 __all__ = [
@@ -254,7 +255,23 @@ class SchedulerResult:
         )
 
 
-class _SweepFaultHooks:
+class _FaultHooks:
+    """The part of the fault injector's hook protocol both engines share:
+    a particle a shape fault adds is handed to the running algorithm,
+    which initialises its memory before anything activates it."""
+
+    __slots__ = ("_algorithm", "_system")
+
+    def __init__(self, algorithm: AmoebotAlgorithm,
+                 system: ParticleSystem) -> None:
+        self._algorithm = algorithm
+        self._system = system
+
+    def admit(self, particle: Particle) -> None:
+        self._algorithm.admit(particle, self._system)
+
+
+class _SweepFaultHooks(_FaultHooks):
     """The sweep engine's side of the fault injector's hook protocol.
 
     The sweep holds no park/wake state — a crashed particle is simply
@@ -267,7 +284,9 @@ class _SweepFaultHooks:
 
     __slots__ = ("_done",)
 
-    def __init__(self, done: Set[int]) -> None:
+    def __init__(self, algorithm: AmoebotAlgorithm, system: ParticleSystem,
+                 done: Set[int]) -> None:
+        super().__init__(algorithm, system)
         self._done = done
 
     def crash(self, pid: int) -> None:
@@ -283,13 +302,15 @@ class _SweepFaultHooks:
         self._done.discard(pid)
 
 
-class _EventFaultHooks:
+class _EventFaultHooks(_FaultHooks):
     """The event engine's side of the fault injector's hook protocol:
     crash/revive/wake translate to the active/parked partition."""
 
     __slots__ = ("_state",)
 
-    def __init__(self, state: "_EventState") -> None:
+    def __init__(self, algorithm: AmoebotAlgorithm, system: ParticleSystem,
+                 state: "_EventState") -> None:
+        super().__init__(algorithm, system)
         self._state = state
 
     def crash(self, pid: int) -> None:
@@ -329,6 +350,8 @@ class SequentialScheduler:
     full-sweep engine)."""
 
     engine = "sweep"
+    #: The engine's receiver of the fault injector's hook calls.
+    _fault_hooks = _SweepFaultHooks
 
     def __init__(self, order: str | OrderPolicy = "random",
                  seed: int = 0,
@@ -426,8 +449,8 @@ class SequentialScheduler:
             moves_already = int(resume_state["moves"])
             resume_engine = resume_state.get("engine_state")
         state = self._start(algorithm, system, resume=resume_engine)
-        fault_hooks = self._fault_hooks(state) if injector is not None \
-            else None
+        fault_hooks = self._fault_hooks(algorithm, system, state) \
+            if injector is not None else None
         # Credit the moves the checkpointed prefix already performed, so
         # the resumed result reports the same whole-run total.
         moves_before = system.move_count - moves_already
@@ -549,10 +572,6 @@ class SequentialScheduler:
         if resume is not None:
             return set(resume.get("done", ()))
         return set()
-
-    def _fault_hooks(self, state: Optional[object]) -> object:
-        """The engine's receiver of the fault injector's hook calls."""
-        return _SweepFaultHooks(state)
 
     def _snapshot_engine_state(self,
                                state: Optional[object]) -> Dict[str, Any]:
@@ -701,9 +720,7 @@ class EventDrivenScheduler(SequentialScheduler):
     """
 
     engine = "event"
-
-    def _fault_hooks(self, state: "_EventState") -> object:
-        return _EventFaultHooks(state)
+    _fault_hooks = _EventFaultHooks
 
     def _start(self, algorithm: AmoebotAlgorithm, system: ParticleSystem,
                resume: Optional[Dict[str, Any]] = None) -> _EventState:

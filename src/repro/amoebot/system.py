@@ -35,21 +35,21 @@ Every operation that alters occupancy (``add_particle``, ``expand``,
 points whose occupancy changed (gained, lost, or switched occupant),
 together with the ids of every particle whose visible neighbourhood those
 points touch — the occupants of the dirty points and of the points adjacent
-to them.  Three consumers are built on the events:
+to them.  Two consumers are built on the events:
 
 * the **cached neighbor index** behind :meth:`ParticleSystem.neighbors_of`
   — neighbour lists are computed once and reused until an event touches
   them, which turns the hottest read of every activation into a handful of
-  dictionary lookups,
+  dictionary lookups, and
 * the :class:`~repro.amoebot.scheduler.EventDrivenScheduler`, which parks
   quiescent particles and uses the events to re-wake only the particles
-  adjacent to a change (see :meth:`add_change_listener`), and
-* the **incremental shape tracker** behind :meth:`ParticleSystem.shape`:
-  occupancy gains and losses since the last snapshot are recorded as an
-  ordered delta stream, and the next ``shape()`` call patches the previous
-  snapshot's memoised connectivity / outer-face / hole state through those
-  deltas (:meth:`repro.grid.shape.Shape._apply_deltas`) instead of
-  recomputing the geometry from scratch.
+  adjacent to a change (see :meth:`add_change_listener`).
+
+The same operations bump an occupancy version that keys the cached
+:meth:`ParticleSystem.shape` snapshot.  A stale snapshot is rebuilt from
+scratch: a live system is asked about its shape only at algorithm set-up,
+once at the end of a run and by shape faults, so patching snapshots
+between polls would not pay for itself.
 
 Random streams
 --------------
@@ -117,7 +117,7 @@ class ParticleSystem:
         self._occupancy: Dict[int, int] = {}
         #: Tuple-point mirror of the occupancy keys, maintained per event —
         #: the source of the public ``occupied_points()`` view and of the
-        #: shape tracker's delta stream.
+        #: rebuilt ``shape()`` snapshot.
         self._points: Set[Point] = set()
         self._next_id = 0
         #: Total number of expansion / contraction / handover operations
@@ -133,10 +133,6 @@ class ParticleSystem:
         self._version = 0
         self._shape_cache: Optional[Shape] = None
         self._shape_version = -1
-        #: Ordered ``(point, added)`` occupancy deltas since the cached
-        #: shape snapshot, or None when delta tracking is disarmed (no
-        #: snapshot yet, or the stream outgrew the worth of patching).
-        self._shape_deltas: Optional[List[Tuple[Point, bool]]] = None
         self._occupied_cache: Optional[FrozenSet[Point]] = None
         self._occupied_version = -1
         self._ids_cache: Optional[List[int]] = None
@@ -188,7 +184,7 @@ class ParticleSystem:
         return ids
 
     def _notify_change(self, packed_points: Sequence[int]) -> None:
-        """Record the occupancy deltas at ``packed_points``, invalidate the
+        """Mirror the occupancy at ``packed_points``, invalidate the
         neighbor index around them and publish the event to subscribers.
         Cheap when nothing is cached or subscribed.  Expansions,
         contractions and handovers dirty exactly one point, so that case
@@ -196,26 +192,15 @@ class ParticleSystem:
         self._version += 1
         occupancy = self._occupancy
         mirror = self._points
-        deltas = self._shape_deltas
         dirty: List[Point] = []
         for packed in packed_points:
             point = ((packed >> _SHIFT) - _OFFSET,
                      (packed & _MASK) - _OFFSET)
             dirty.append(point)
             if packed in occupancy:
-                if point not in mirror:
-                    mirror.add(point)
-                    if deltas is not None:
-                        deltas.append((point, True))
-            elif point in mirror:
+                mirror.add(point)
+            else:
                 mirror.discard(point)
-                if deltas is not None:
-                    deltas.append((point, False))
-        if deltas is not None and len(deltas) * 3 > len(mirror) + 48:
-            # The delta stream outgrew the worth of patching: replaying it
-            # would cost more than rebuilding, so the next shape() poll
-            # recomputes from scratch and re-arms the tracker.
-            self._shape_deltas = None
         cache = self._neighbor_cache
         if not cache and not self._listeners:
             return
@@ -275,11 +260,9 @@ class ParticleSystem:
         system._version += 1
         if isinstance(shape, Shape):
             # Seed the shape cache with the caller's instance: its memoised
-            # faces / connectivity carry over to algorithm setup, and the
-            # delta tracker starts patching from it.
+            # faces / connectivity carry over to algorithm setup.
             system._shape_cache = shape
             system._shape_version = system._version
-            system._shape_deltas = []
         return system
 
     def add_particle(self, point: Point, orientation: int = 0) -> Particle:
@@ -302,10 +285,10 @@ class ParticleSystem:
         exists for the fault layer's dynamic shape perturbations (and for
         tests building configurations).  The vacated point publishes a
         dirty-neighborhood event exactly like a contraction, so caches,
-        the event engine and the shape tracker all see the departure.
-        Connectivity is *not* checked here — callers wanting a
-        connectivity-preserving removal validate via
-        ``shape().without(point).is_connected()`` first.
+        the event engine and the next ``shape()`` snapshot all see the
+        departure.  Connectivity is *not* checked here — the fault layer
+        validates a removal first
+        (:func:`~repro.amoebot.faults.removal_keeps_connected`).
         """
         particle = self._particles[particle_id]
         if particle.is_expanded:
@@ -379,35 +362,22 @@ class ParticleSystem:
         version the dirty-neighborhood events bump, so repeated calls while
         nothing moves (algorithm setup, instrumentation, metrics) share one
         instance — and therefore share its memoised faces / connectivity.
-
-        When the previous snapshot is stale, the new one is **patched**
-        from it through the occupancy deltas recorded since (incremental
-        connectivity / outer-face / hole maintenance) rather than
-        recomputed from scratch; a full rebuild only happens when no
-        snapshot exists yet or the delta stream outgrew the worth of
-        patching.
+        Once anything has moved, the next call builds a fresh snapshot
+        from the occupied points.
         """
-        if self._shape_cache is not None and self._shape_version == self._version:
-            return self._shape_cache
-        base = self._shape_cache
-        deltas = self._shape_deltas
-        if base is not None and deltas is not None:
-            shape = base._apply_deltas(deltas)
-        else:
+        shape = self._shape_cache
+        if shape is None or self._shape_version != self._version:
             _metric("shape.rebuilds").inc()
-            shape = Shape(self._points)
-        self._shape_cache = shape
-        self._shape_version = self._version
-        self._shape_deltas = []
+            shape = self._shape_cache = Shape(self._points)
+            self._shape_version = self._version
         return shape
 
     def is_connected(self) -> bool:
         """Whether the set of occupied points is connected.
 
         Served by the cached :meth:`shape` snapshot's memoised connectivity:
-        while nothing moves, repeated calls cost two attribute reads, and
-        after movement the incremental shape state usually still knows the
-        answer without a BFS.
+        while nothing moves, repeated calls cost two attribute reads; after
+        movement the first call rebuilds the snapshot and runs one BFS.
         """
         return self.shape().is_connected()
 
@@ -763,7 +733,6 @@ class ParticleSystem:
         self._version += 1
         self._shape_cache = None
         self._shape_version = -1
-        self._shape_deltas = None
         self._occupied_cache = None
         self._occupied_version = -1
         self._ids_cache = None

@@ -24,7 +24,7 @@ reproduce the "No holes" restriction column of Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import AbstractSet, List, Optional, Set
 
 from ..amoebot.algorithm import (
     QUIESCENT,
@@ -87,14 +87,27 @@ class ErosionLeaderElection(AmoebotAlgorithm, StatusMixin):
         self._population = len(system)
         self._initially_active = initially_active = set()
         for particle in system.particles():
-            particle[STATUS_KEY] = STATUS_UNDECIDED
-            particle[TERMINATED_KEY] = False
-            eligible = [False] * NUM_DIRECTIONS
-            for port in range(NUM_DIRECTIONS):
-                eligible[port] = particle.head_neighbor(port) in occupied
-            particle[ELIGIBLE_KEY] = eligible
-            if True not in eligible or is_sce_flag_arc(eligible):
+            if self._initialise(particle, occupied):
                 initially_active.add(particle.particle_id)
+
+    def admit(self, particle: Particle, system: ParticleSystem) -> None:
+        """Start a particle a shape fault added mid-run undecided, its
+        flags read against the current candidate set the way set-up reads
+        them against the occupied points."""
+        self._initialise(particle, self.eligible_points)
+        self._population += 1
+
+    @staticmethod
+    def _initialise(particle: Particle,
+                    eligible_area: AbstractSet[Point]) -> bool:
+        """Initialise one particle with the points of ``eligible_area``
+        eligible; True when its flags are actionable (empty or SCE)."""
+        particle[STATUS_KEY] = STATUS_UNDECIDED
+        particle[TERMINATED_KEY] = False
+        eligible = [particle.head_neighbor(port) in eligible_area
+                    for port in range(NUM_DIRECTIONS)]
+        particle[ELIGIBLE_KEY] = eligible
+        return True not in eligible or is_sce_flag_arc(eligible)
 
     # -- termination --------------------------------------------------------------
 
@@ -104,7 +117,8 @@ class ErosionLeaderElection(AmoebotAlgorithm, StatusMixin):
     def has_terminated(self, system: ParticleSystem) -> bool:
         # The terminated flag is set in exactly one place and never cleared;
         # the counter kept there (plus the stall flag, which terminates
-        # everyone at once) replaces the default O(n) scan.
+        # everyone at once) replaces the default O(n) scan, unless a shape
+        # fault removed a particle setup() and admit() counted.
         if self.stalled:
             return True
         n = len(system)

@@ -28,7 +28,7 @@ the erosion progress.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from ..amoebot.algorithm import (
     QUIESCENT,
@@ -172,7 +172,7 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
         # occupied nor a hole point, i.e. not in the area — a set lookup,
         # much cheaper than six point_in_outer_face calls per particle.
         area = initial_shape.area_points
-        self._actionable = actionable = set()
+        self._actionable = set()
         for particle in system.particles():
             if self.outer_from_memory:
                 outer = self._outer_input(particle, initial_shape)
@@ -182,24 +182,38 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
                 memory[STATUS_KEY] = STATUS_UNDECIDED
                 memory[TERMINATED_KEY] = False
                 memory[ELIGIBLE_KEY] = eligible
+                if True not in eligible or is_sce_flag_arc(eligible):
+                    self._actionable.add(particle.particle_id)
             else:
-                adjacent = neighbors_interned(particle.head)
-                # Initialization (line 6): eligible iff the neighbour is in
-                # the area (occupied or a hole point); computed C-side.
-                eligible = list(map(
-                    area.__contains__,
-                    map(adjacent.__getitem__,
-                        _ROTATIONS[particle.orientation])))
-                # One dict display replaces four item writes; the memory
-                # is fresh from construction, so nothing is clobbered.
-                particle.memory = {
-                    OUTER_KEY: [not flag for flag in eligible],
-                    STATUS_KEY: STATUS_UNDECIDED,
-                    TERMINATED_KEY: False,
-                    ELIGIBLE_KEY: eligible,
-                }
-            if True not in eligible or is_sce_flag_arc(eligible):
-                actionable.add(particle.particle_id)
+                self._initialise(particle, area)
+
+    def admit(self, particle: Particle, system: ParticleSystem) -> None:
+        """Start a particle a shape fault added mid-run undecided, its
+        flags read against the current eligible set ``S_e`` the way
+        set-up reads them against the initial area."""
+        self._initialise(particle, self.eligible_points)
+        self._population += 1
+
+    def _initialise(self, particle: Particle,
+                    eligible_area: AbstractSet[Point]) -> None:
+        """The initialization block (lines 5-7) for one particle, with the
+        points of ``eligible_area`` eligible."""
+        adjacent = neighbors_interned(particle.head)
+        # Line 6: eligible iff the neighbour is in the eligible area
+        # (at set-up, occupied or a hole point); computed C-side.
+        eligible = list(map(
+            eligible_area.__contains__,
+            map(adjacent.__getitem__, _ROTATIONS[particle.orientation])))
+        # One dict display replaces four item writes; the memory is fresh
+        # from construction, so nothing is clobbered.
+        particle.memory = {
+            OUTER_KEY: [not flag for flag in eligible],
+            STATUS_KEY: STATUS_UNDECIDED,
+            TERMINATED_KEY: False,
+            ELIGIBLE_KEY: eligible,
+        }
+        if True not in eligible or is_sce_flag_arc(eligible):
+            self._actionable.add(particle.particle_id)
 
     def _outer_input(self, particle: Particle, shape: Shape) -> List[bool]:
         if self.outer_from_memory:
@@ -224,7 +238,8 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
     def has_terminated(self, system: ParticleSystem) -> bool:
         # The terminated flag is set in exactly one place and never cleared,
         # so the counter kept there replaces the default O(n) scan.  Fall
-        # back to the scan if this system is not the one setup() counted.
+        # back to the scan if this system is not the one setup() and
+        # admit() counted (a shape fault removed a particle).
         n = len(system)
         if n != self._population:
             return super().has_terminated(system)

@@ -94,8 +94,8 @@ def neighbors_interned(point: Point) -> Tuple[Point, ...]:
     """The six neighbours of ``point`` in clockwise order, interned.
 
     Unlike :func:`neighbors` the returned tuple is cached and shared, so
-    repeated neighbourhood scans of the same point (flood fills, BFS, the
-    incremental shape maintenance) allocate nothing after the first visit.
+    repeated neighbourhood scans of the same point (flood fills, BFS, local
+    boundary tests) allocate nothing after the first visit.
     Callers must treat the result as immutable.
     """
     ring = _RING_CACHE.get(point)

@@ -199,273 +199,6 @@ def is_connected(points: AbstractSet[Point]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Incremental shape maintenance
-# ---------------------------------------------------------------------------
-#
-# A Shape memoises three expensive global facts: connectivity (one BFS), the
-# outer face and the holes (a bounding-box flood fill).  The helpers below
-# *patch* that memoised state through single-point deltas instead of
-# discarding it, which is what makes :meth:`Shape.without`,
-# :meth:`Shape.with_point`, :meth:`Shape.moved` and the batched delta replay
-# behind :meth:`repro.amoebot.system.ParticleSystem.shape` cheap:
-#
-# * connectivity follows purely local rules — adding a point with an
-#   occupied neighbour cannot disconnect a connected shape, and removing a
-#   point with at most one local boundary (Proposition 6) cannot change
-#   connectivity at all; only the remaining cases degrade the memo to
-#   "unknown" (recomputed lazily, at most once, if anyone asks);
-# * the hole list stays *exact* under every delta: removals only ever merge
-#   faces (locally detectable), and additions can only shrink or split the
-#   face they land in — a split is detected by counting the point's empty
-#   arcs and resolved with a re-flood bounded by the faces it creates;
-# * the memoised outer-face point set is maintained as a consistent subset
-#   of the true outer face (``point_in_outer_face`` already falls back to
-#   "empty and in no hole" for points it does not list, so the subset only
-#   needs to stay disjoint from the holes and the shape).
-
-class _ShapeState:
-    """Mutable working copy of a Shape's points and memoised global state.
-
-    Built from an existing Shape, mutated through :func:`_state_add` /
-    :func:`_state_remove`, and frozen back into a new Shape with
-    :meth:`Shape._from_state` (which takes ownership of the sets).
-    ``faces_valid`` mirrors whether the source shape had computed its faces:
-    when it had not, there is nothing to patch and the face fields stay
-    empty (the derived shape recomputes lazily, exactly like today).
-    """
-
-    __slots__ = ("points", "connected", "faces_valid", "outer_empty", "holes")
-
-    def __init__(self) -> None:
-        self.points: Set[Point] = set()
-        self.connected: Optional[bool] = None
-        self.faces_valid = False
-        self.outer_empty: Set[Point] = set()
-        self.holes: List[Set[Point]] = []
-
-
-def _empty_arc_count(occ_mask: Sequence[bool]) -> int:
-    """Number of maximal cyclic runs of empty directions in a 6-entry
-    occupancy mask (= the number of local boundaries of the point)."""
-    arcs = 0
-    for d in range(NUM_DIRECTIONS):
-        if not occ_mask[d] and occ_mask[d - 1]:
-            arcs += 1
-    if arcs == 0:
-        # No transition: the ring is all-occupied (0 arcs) or all-empty (1).
-        return 0 if occ_mask[0] else 1
-    return arcs
-
-
-def _empty_arc_groups(ring: Sequence[Point],
-                      occ_mask: Sequence[bool]) -> List[List[Point]]:
-    """The empty neighbours of a point grouped into maximal cyclic arcs.
-
-    Requires at least one occupied direction (callers only split when the
-    point has two or more arcs, which implies one).
-    """
-    start = next(d for d in range(NUM_DIRECTIONS) if occ_mask[d])
-    groups: List[List[Point]] = []
-    current: List[Point] = []
-    for offset in range(1, NUM_DIRECTIONS + 1):
-        d = (start + offset) % NUM_DIRECTIONS
-        if not occ_mask[d]:
-            current.append(ring[d])
-        elif current:
-            groups.append(current)
-            current = []
-    if current:
-        groups.append(current)
-    return groups
-
-
-def _split_outer(state: _ShapeState, groups: List[List[Point]]) -> None:
-    """Resolve a potential outer-face split after adding a point.
-
-    One interleaved BFS per empty arc explores the empty grid around the
-    added point.  Arcs whose regions touch are merged; an arc whose region
-    exhausts is enclosed — it has become a new hole.  The search stops as
-    soon as a single live region remains (the outer remnant), so the cost
-    is bounded by the faces actually created, not by the outer face.
-    """
-    _metric("shape.refloods").inc()
-    points = state.points
-    parent = list(range(len(groups)))
-
-    def find(g: int) -> int:
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
-    regions: List[Set[Point]] = [set(group) for group in groups]
-    frontiers: List[deque] = [deque(group) for group in groups]
-    label: Dict[Point, int] = {}
-    for gid, group in enumerate(groups):
-        for seed in group:
-            label[seed] = gid
-    alive: Set[int] = set(range(len(groups)))
-    closed: List[int] = []
-    while len(alive) > 1:
-        for gid in sorted(alive):
-            root = find(gid)
-            if root != gid or root not in alive:
-                continue  # merged away earlier in this pass
-            frontier = frontiers[root]
-            if not frontier:
-                # Fully explored without reaching another arc: enclosed.
-                alive.discard(root)
-                closed.append(root)
-                continue
-            current = frontier.popleft()
-            for nb in neighbors_interned(current):
-                if nb in points:
-                    continue
-                other = label.get(nb)
-                if other is None:
-                    label[nb] = root
-                    regions[root].add(nb)
-                    frontier.append(nb)
-                    continue
-                other = find(other)
-                if other == root:
-                    continue
-                # Two arcs meet: they are one face — merge small into large.
-                if len(regions[other]) > len(regions[root]):
-                    root, other = other, root
-                parent[other] = root
-                regions[root] |= regions[other]
-                frontiers[root].extend(frontiers[other])
-                alive.discard(other)
-                # The local alias must follow the surviving root, or the
-                # remaining neighbours of ``current`` would be appended to
-                # the absorbed (dead) deque and never explored.
-                frontier = frontiers[root]
-            if len(alive) <= 1:
-                break
-    for root in closed:
-        hole = regions[root]
-        state.outer_empty -= hole
-        state.holes.append(hole)
-
-
-def _face_add(state: _ShapeState, point: Point, ring: Sequence[Point],
-              occ_mask: Sequence[bool]) -> None:
-    """Patch the face state for an added point (already in ``state.points``).
-
-    An addition shrinks the face the point was in, and can split it when
-    the point has two or more empty arcs; it can never merge faces.  The
-    face of the added point is the face of *all* its empty neighbours
-    (adjacent empty points always share a face).
-    """
-    holes = state.holes
-    for index, hole in enumerate(holes):
-        if point in hole:
-            hole.discard(point)
-            if not hole:
-                del holes[index]
-            elif _empty_arc_count(occ_mask) >= 2:
-                _metric("shape.refloods").inc()
-                parts = connected_components(hole)
-                if len(parts) > 1:
-                    del holes[index]
-                    holes.extend(set(part) for part in parts)
-            return
-    # The point was on the outer face.
-    state.outer_empty.discard(point)
-    if _empty_arc_count(occ_mask) >= 2:
-        _split_outer(state, _empty_arc_groups(ring, occ_mask))
-
-
-def _face_remove(state: _ShapeState, point: Point,
-                 ring: Sequence[Point]) -> None:
-    """Patch the face state for a removed point (already taken out of
-    ``state.points``).
-
-    A removal turns an occupied point into empty space, which joins — and
-    thereby may merge — every face adjacent to it; it can never split one.
-    """
-    points = state.points
-    if not points:
-        state.outer_empty.clear()
-        state.holes.clear()
-        return
-    empties = [u for u in ring if u not in points]
-    if not empties:
-        # Entirely enclosed: the vacated point is a brand-new hole.
-        state.holes.append({point})
-        return
-    holes = state.holes
-    involved: List[int] = []
-    touches_outer = False
-    for u in empties:
-        for index, hole in enumerate(holes):
-            if u in hole:
-                if index not in involved:
-                    involved.append(index)
-                break
-        else:
-            touches_outer = True
-    if touches_outer:
-        # Every involved hole drains into the outer face.
-        state.outer_empty.add(point)
-        for index in sorted(involved, reverse=True):
-            state.outer_empty |= holes[index]
-            del holes[index]
-    elif len(involved) == 1:
-        holes[involved[0]].add(point)
-    else:
-        merged: Set[Point] = {point}
-        for index in sorted(involved, reverse=True):
-            merged |= holes[index]
-            del holes[index]
-        holes.append(merged)
-
-
-def _state_add(state: _ShapeState, point: Point) -> None:
-    """Apply a single-point addition to a working state (no-op if present)."""
-    points = state.points
-    if point in points:
-        return
-    ring = neighbors_interned(point)
-    occ_mask = [u in points for u in ring]
-    points.add(point)
-    if True not in occ_mask:
-        # An isolated addition: alone it is connected, otherwise it is a
-        # fresh component of its own.
-        state.connected = len(points) == 1
-    elif state.connected is False:
-        state.connected = None  # the new point may bridge two components
-    if state.faces_valid:
-        _face_add(state, point, ring, occ_mask)
-
-
-def _state_remove(state: _ShapeState, point: Point) -> None:
-    """Apply a single-point removal to a working state (no-op if absent)."""
-    points = state.points
-    if point not in points:
-        return
-    ring = neighbors_interned(point)
-    occ_mask = [u in points for u in ring]
-    points.discard(point)
-    if not points:
-        state.connected = False
-    elif True not in occ_mask:
-        # The removed point was a whole component by itself; what is left
-        # may or may not be connected.
-        state.connected = None
-    elif state.connected is not False and _empty_arc_count(occ_mask) >= 2:
-        # Removing an articulation candidate: connectivity becomes unknown.
-        # (With at most one local boundary the removal is *redundant* —
-        # Proposition 6 — and the memoised answer survives; a removal of a
-        # non-isolated point can never reconnect a disconnected shape, so
-        # False also survives.)
-        state.connected = None
-    if state.faces_valid:
-        _face_remove(state, point, ring)
-
-
-# ---------------------------------------------------------------------------
 # v-nodes and virtual rings
 # ---------------------------------------------------------------------------
 
@@ -575,95 +308,14 @@ class Shape:
         return f"Shape(n={len(self._points)})"
 
     # -- derived shapes ----------------------------------------------------
-    #
-    # The three delta constructors below patch whatever global state this
-    # shape has already memoised (connectivity, outer face, holes) instead
-    # of discarding it — see the "Incremental shape maintenance" section.
-    # State this shape never computed is simply left uncomputed on the
-    # derived shape, so the constructors are never *more* expensive than a
-    # plain rebuild.
-
-    def _working_state(self) -> _ShapeState:
-        """A mutable copy of this shape's points and memoised state."""
-        state = _ShapeState()
-        state.points = set(self._points)
-        state.connected = self._connected
-        state.faces_valid = self._faces_computed
-        if state.faces_valid:
-            state.outer_empty = set(self._outer_empty)
-            state.holes = [set(hole) for hole in self._holes]
-        return state
-
-    @classmethod
-    def _from_state(cls, state: _ShapeState) -> "Shape":
-        """Freeze a working state into a Shape.  Takes ownership of the
-        state's sets — the caller must not touch the state afterwards."""
-        shape = cls.__new__(cls)
-        shape._points = frozenset(state.points)
-        shape._faces_computed = state.faces_valid
-        if state.faces_valid:
-            shape._outer_empty = state.outer_empty
-            holes = [frozenset(hole) for hole in state.holes]
-            holes.sort(key=min)
-            shape._holes = holes
-        else:
-            shape._outer_empty = set()
-            shape._holes = []
-        shape._rings = None
-        shape._connected = state.connected
-        shape._area_points = None
-        return shape
 
     def without(self, point: Point) -> "Shape":
-        """Return a new shape with ``point`` removed, patching the memoised
-        connectivity and face state instead of recomputing it."""
-        point = (int(point[0]), int(point[1]))
-        if point not in self._points:
-            return self  # no-op delta; shapes are immutable
-        state = self._working_state()
-        _state_remove(state, point)
-        return Shape._from_state(state)
+        """Return a new shape with ``point`` removed."""
+        return Shape(self._points - {(int(point[0]), int(point[1]))})
 
     def with_point(self, point: Point) -> "Shape":
-        """Return a new shape with ``point`` added, patching the memoised
-        connectivity and face state instead of recomputing it."""
-        point = (int(point[0]), int(point[1]))
-        if point in self._points:
-            return self  # no-op delta; shapes are immutable
-        state = self._working_state()
-        _state_add(state, point)
-        return Shape._from_state(state)
-
-    def moved(self, old: Point, new: Point) -> "Shape":
-        """Return a new shape with ``old`` vacated and ``new`` occupied —
-        the single-particle movement delta — patching the memoised state
-        through both updates at once."""
-        old = (int(old[0]), int(old[1]))
-        new = (int(new[0]), int(new[1]))
-        if old == new or old not in self._points or new in self._points:
-            raise ValueError(
-                f"moved() needs a distinct occupied source and empty target; "
-                f"got {old} -> {new}"
-            )
-        state = self._working_state()
-        _state_remove(state, old)
-        _state_add(state, new)
-        return Shape._from_state(state)
-
-    def _apply_deltas(self, deltas: Sequence[Tuple[Point, bool]]) -> "Shape":
-        """Replay an ordered ``(point, added)`` delta stream into a new
-        shape, patching the memoised state through every step.  Used by
-        :meth:`repro.amoebot.system.ParticleSystem.shape` to refresh its
-        snapshot from the occupancy changes since the previous one."""
-        state = self._working_state()
-        for point, added in deltas:
-            if added:
-                _state_add(state, point)
-            else:
-                _state_remove(state, point)
-        _metric("shape.delta_replays").inc()
-        _metric("shape.deltas_applied").inc(len(deltas))
-        return Shape._from_state(state)
+        """Return a new shape with ``point`` added."""
+        return Shape(self._points | {(int(point[0]), int(point[1]))})
 
     # -- connectivity -------------------------------------------------------
 

@@ -20,7 +20,7 @@ phases and memories, algorithm-private state (actionable sets, wait
 counts), RNG streams (the stdlib generator and the key stream of the
 bulk ``random`` order, in one form for its stdlib and numpy backends),
 round/activation counters and the event engine's parked/done sets.  Derived caches — the neighbor
-index, the incremental :class:`~repro.grid.shape.Shape` snapshot, the
+index, the cached :class:`~repro.grid.shape.Shape` snapshot, the
 occupancy-version caches — are deliberately **not** serialized: restore
 rebuilds them, and the fuzz tests in ``tests/test_checkpoint.py`` prove
 restore ≡ continue on traces, round counts and ledger records.

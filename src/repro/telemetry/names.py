@@ -35,9 +35,9 @@ KNOWN_METRICS: FrozenSet[str] = frozenset({
     # filesystem task queue (orchestrator/queue.py)
     "queue.claims", "queue.completes", "queue.enqueued",
     "queue.heartbeats", "queue.reclaims", "queue.retries",
-    # incremental shape maintenance (grid/shape.py)
-    "shape.delta_replays", "shape.deltas_applied", "shape.face_floods",
-    "shape.rebuilds", "shape.refloods",
+    # shape snapshots: face floods (grid/shape.py) and the system's
+    # snapshot rebuilds (amoebot/system.py)
+    "shape.face_floods", "shape.rebuilds",
     # exact shape metrics (grid/metrics.py): one per breadth-first search
     "metrics.bfs_runs",
     # sweep outcome counters (orchestrator/pool.py); the per-source

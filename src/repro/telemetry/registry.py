@@ -1,6 +1,6 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
-Every layer of the harness — engines, incremental geometry, the result
+Every layer of the harness — engines, shape geometry, the result
 cache, the ledger, both distributed transports — records what it does
 through the *current* registry, obtained via :func:`get_registry` (or the
 module-level :func:`counter` / :func:`gauge` / :func:`histogram`

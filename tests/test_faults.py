@@ -22,6 +22,7 @@ from repro.amoebot.faults import (
     FaultPlan,
     FaultSpec,
     charged_fault_overlay,
+    removal_keeps_connected,
 )
 from repro.amoebot.scheduler import make_scheduler
 from repro.amoebot.system import ParticleSystem
@@ -30,8 +31,10 @@ from repro.analysis.robustness import (
     format_robustness_table,
     robustness_rows,
 )
+from repro.baselines.erosion import ErosionLeaderElection
 from repro.core.dle import DLEAlgorithm, verify_unique_leader
-from repro.grid.generators import hexagon, make_shape
+from repro.grid.generators import SHAPE_FAMILIES, hexagon, make_shape
+from repro.grid.shape import is_connected
 from repro.io import records_to_dicts
 from repro.session import Session
 from repro.telemetry.names import is_known_metric
@@ -99,13 +102,14 @@ class TestFaultSpec:
 # ---------------------------------------------------------------------------
 
 def _run_traced(shape, engine, seed, faults="", order="random",
-                max_rounds=5000):
+                max_rounds=5000, algorithm=DLEAlgorithm):
     system = ParticleSystem.from_shape(shape, orientation_seed=seed)
     trace = []
     scheduler = make_scheduler(engine, order=order, seed=seed, faults=faults)
     result = scheduler.run(
-        DLEAlgorithm(), system, max_rounds=max_rounds,
+        algorithm(), system, max_rounds=max_rounds,
         round_hook=lambda r, s: trace.append((r, s.snapshot())))
+    injector = scheduler._injector
     return {
         "rounds": result.rounds,
         "moves": result.moves,
@@ -114,6 +118,7 @@ def _run_traced(shape, engine, seed, faults="", order="random",
         "trace": trace,
         "final": sorted((p.particle_id, dict(p.memory))
                         for p in system.particles()),
+        "counters": dict(injector.counters) if injector else None,
     }
 
 
@@ -198,6 +203,9 @@ class _Hooks:
 
     def remove(self, pid):
         self.events.append(("remove", pid))
+
+    def admit(self, particle):
+        self.events.append(("admit", particle.particle_id))
 
 
 class TestCrashFamily:
@@ -286,6 +294,75 @@ class TestShapeFamily:
             assert is_connected(set(system.occupied_points()))
 
 
+class TestAdmittedParticles:
+    """A particle a shape fault adds is initialised by the running
+    algorithm before anything activates it, so the run goes on to the
+    end, identically on both engines."""
+
+    @pytest.mark.parametrize("algorithm,family,size,plan", [
+        (DLEAlgorithm, "holey", 2, "shape:rate=0.3;seed=5"),
+        (ErosionLeaderElection, "hexagon", 3, "shape:rate=0.5;seed=2"),
+    ])
+    def test_added_particles_run_to_the_end(self, algorithm, family, size,
+                                            plan):
+        shape = make_shape(family, size)
+        sweep = _run_traced(shape, "sweep", 0, faults=plan, max_rounds=500,
+                            algorithm=algorithm)
+        event = _run_traced(shape, "event", 0, faults=plan, max_rounds=500,
+                            algorithm=algorithm)
+        assert sweep["terminated"]
+        assert sweep["counters"]["shape_adds"] > 0
+        for key in ("rounds", "moves", "terminated", "trace", "final",
+                    "counters"):
+            assert event[key] == sweep[key], key
+
+    def test_base_algorithm_refuses_to_admit(self):
+        from repro.apps.spanning_tree import SpanningTreeAlgorithm
+        system = ParticleSystem.from_shape(hexagon(1), orientation_seed=0)
+        particle = system.add_particle((5, 5))
+        with pytest.raises(NotImplementedError):
+            SpanningTreeAlgorithm().admit(particle, system)
+
+
+class TestRemovalRule:
+    """``removal_keeps_connected`` equals a BFS of the set without the
+    point, on connected and disconnected configurations."""
+
+    @staticmethod
+    def assert_matches_bfs(points, candidates):
+        connected = is_connected(points)
+        for point in candidates:
+            assert removal_keeps_connected(point, points, connected) == \
+                is_connected(points - {point}), point
+
+    @pytest.mark.parametrize("family", sorted(SHAPE_FAMILIES))
+    def test_every_boundary_point_of_every_family(self, family):
+        for size in range(1, 6):
+            shape = make_shape(family, size, seed=0)
+            self.assert_matches_bfs(shape.points, shape.boundary_points)
+
+    def test_two_separated_hexagons(self):
+        points = hexagon(2).points | hexagon(2).translated(10, 0).points
+        assert not is_connected(points)
+        self.assert_matches_bfs(points, points)
+
+    def test_isolated_point_leaving_reconnects(self):
+        points = hexagon(2).points | {(10, 0)}
+        assert removal_keeps_connected((10, 0), points, False)
+        self.assert_matches_bfs(points, points)
+
+    def test_chain_bridge_points(self):
+        points = make_shape("chain", 2, seed=0).points
+        bridges = [p for p in sorted(points)
+                   if not is_connected(points - {p})]
+        assert bridges
+        self.assert_matches_bfs(points, points)
+        # Cut at one bridge point: the rule must still agree on the two
+        # halves and on the remaining bridge points.
+        cut = points - {bridges[0]}
+        self.assert_matches_bfs(cut, cut)
+
+
 # ---------------------------------------------------------------------------
 # System-level mutation primitives
 # ---------------------------------------------------------------------------
@@ -365,6 +442,10 @@ FAULT_FUZZ = [
     ("erosion", "hexagon", 3, 0, "event", "delay:rate=0.4,max=2;seed=7"),
     ("dle", "hexagon", 3, 2, "event",
      "crash:rate=0.04,rounds=6;delay:rate=0.3,max=2;seed=8"),
+    # Shape plans that add particles: dle after the checkpoint, erosion
+    # on both sides of it.
+    ("dle", "holey", 1, 1, "event", "shape:rate=0.5;seed=3"),
+    ("erosion", "holey", 1, 0, "sweep", "shape:rate=0.9;seed=7"),
 ]
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.grid.coords import grid_distance, neighbors_interned
+from repro.grid.coords import grid_distance, neighbors, neighbors_interned
 from repro.grid.generators import (
     SHAPE_FAMILIES,
     annulus,
@@ -20,6 +20,7 @@ from repro.grid.generators import (
     spiral,
     triangle,
 )
+from repro.grid.shape import is_connected
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,32 @@ def rescan_random_connected(n, hole_density=0.1, seed=0, center=(0, 0)):
         points.discard(hole)
         holes.add(hole)
         grow_one()
+    return frozenset(points)
+
+
+def rescan_random_holey_blob(n, hole_fraction=0.15, seed=0, center=(0, 0)):
+    """``random_holey_blob`` with a connectivity check before every
+    removal, which the generator drops because it cannot fail."""
+    rng = random.Random(seed)
+    target_total = max(n, int(round(n / max(1e-9, 1.0 - hole_fraction))))
+    points = set(rescan_random_blob(target_total, seed=seed ^ 0x5BD1,
+                                    center=center))
+    removable_budget = target_total - n
+    interior = [p for p in sorted(points)
+                if all(u in points for u in neighbors(p))]
+    rng.shuffle(interior)
+    removed = 0
+    for candidate in interior:
+        if removed >= removable_budget:
+            break
+        if candidate not in points:
+            continue
+        if not all(u in points for u in neighbors(candidate)):
+            continue
+        trial = points - {candidate}
+        if is_connected(trial):
+            points = trial
+            removed += 1
     return frozenset(points)
 
 
@@ -176,6 +203,16 @@ class TestRescanOracles:
         for seed in range(20):
             assert random_blob(n, seed=seed).points == \
                 rescan_random_blob(n, seed=seed)
+
+    @pytest.mark.parametrize("size", range(1, 11))
+    @pytest.mark.parametrize("hole_fraction", [0.15, 0.4])
+    def test_random_holey_blob_matches_rescan(self, size, hole_fraction):
+        n = 3 * size * size + 10  # the holey_blob family's particle count
+        for seed in range(20):
+            assert random_holey_blob(n, hole_fraction=hole_fraction,
+                                     seed=seed).points == \
+                rescan_random_holey_blob(n, hole_fraction=hole_fraction,
+                                         seed=seed)
 
     @pytest.mark.parametrize("size", range(1, 11))
     @pytest.mark.parametrize("density", [0.0, 0.08, 0.2])

@@ -203,6 +203,20 @@ class TestExactAgainstBruteForce:
         assert metrics.n == len(points)
         assert metrics.n_area == len(area)
 
+    # Shapes on which an off-by-one in BoundingDiameters' pruning (an
+    # upper bound of ``ecc + d - 1``, or keeping only candidates with
+    # ``upper > best + 1``) returns a diameter one too small.
+    @pytest.mark.parametrize("shape", [
+        make_shape("blob", 2, seed=3),
+        make_shape("holey_blob", 1, seed=7),
+        Shape([(-1, -1), (-1, 0), (0, 0), (1, -1), (2, -1)]),
+    ], ids=["blob-2-3", "holey_blob-1-7", "path-5"])
+    def test_pruning_boundary_cases_equal_oracle(self, shape):
+        points, area = shape.points, shape.area_points
+        metrics = compute_metrics(shape)
+        assert metrics.diameter == diameter_within(points, points)
+        assert metrics.area_diameter == diameter_within(points, area)
+
 
 def test_large_hexagon_needs_few_searches():
     """Guards against a quadratic regression without a timer: a side-64

@@ -1,14 +1,13 @@
-"""Incremental shape maintenance must be indistinguishable from rebuilds.
+"""Derived and cached shapes must be indistinguishable from rebuilds.
 
-The core property of this layer: a :class:`~repro.grid.shape.Shape`
-derived through single-point deltas (``with_point`` / ``without`` /
-``moved``, or the batched delta replay behind
-``ParticleSystem.shape()``) carries exactly the connectivity, holes,
+A :class:`~repro.grid.shape.Shape` derived through single-point deltas
+(``with_point`` / ``without``) and the cached snapshot behind
+``ParticleSystem.shape()`` must carry exactly the connectivity, holes,
 boundary and area a from-scratch ``Shape`` of the same points computes.
-The fuzzers below drive both layers through long random
-expand/contract/handover/teleport sequences — including hole creation,
-splits, merges and temporary disconnection — comparing against a fresh
-rebuild after every step.
+The hole split/merge/breach and disconnection configurations pin the
+geometry; the fuzzer drives random expand/contract/handover/teleport
+sequences, which must invalidate the system's cached snapshot after every
+kind of move, comparing against a fresh rebuild after every step.
 """
 
 import random
@@ -44,7 +43,6 @@ class TestShapeDeltaConstructors:
         shape = Shape(HEX)
         shape.holes, shape.is_connected()  # force the memos
         smaller = shape.without((0, 0))
-        assert smaller._faces_computed  # patched, not discarded
         assert_same_global_state(smaller, set(HEX) - {(0, 0)})
         # Removing an interior point opens a hole.
         assert smaller.holes == [frozenset({(0, 0)})]
@@ -55,23 +53,6 @@ class TestShapeDeltaConstructors:
         refilled = shape.with_point((0, 0))
         assert refilled.holes == []
         assert_same_global_state(refilled, set(HEX))
-
-    def test_moved_combines_remove_and_add(self):
-        shape = Shape(HEX)
-        shape.holes, shape.is_connected()
-        moved = shape.moved((0, 0), (5, 5))
-        expected = (set(HEX) - {(0, 0)}) | {(5, 5)}
-        assert not moved.is_connected()  # the target is far away
-        assert_same_global_state(moved, expected)
-
-    def test_moved_validates_arguments(self):
-        shape = Shape(HEX)
-        with pytest.raises(ValueError):
-            shape.moved((0, 0), (0, 0))
-        with pytest.raises(ValueError):
-            shape.moved((99, 99), (98, 98))
-        with pytest.raises(ValueError):
-            shape.moved((0, 0), (0, 1))  # target occupied
 
     def test_unrelated_points_keep_behaviour(self):
         shape = Shape(HEX)
@@ -124,54 +105,18 @@ class TestShapeDeltaConstructors:
         assert repaired.is_connected()
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_fuzz_shape_deltas_match_rebuild(seed):
-    """Random add/remove/move sequences on a raw Shape."""
-    rng = random.Random(seed)
-    points = set(make_shape("blob", 4, seed=seed).points)
-    shape = Shape(points)
-    shape.holes, shape.is_connected()
-    for _ in range(120):
-        op = rng.random()
-        if op < 0.45 and len(points) > 2:
-            victim = rng.choice(sorted(points))
-            shape = shape.without(victim)
-            points.discard(victim)
-        elif op < 0.8:
-            base = rng.choice(sorted(points))
-            candidates = [u for u in neighbors(base) if u not in points]
-            if not candidates:
-                continue
-            target = rng.choice(candidates)
-            shape = shape.with_point(target)
-            points.add(target)
-        else:
-            sources = sorted(points)
-            src = rng.choice(sources)
-            candidates = [u for u in neighbors(src) if u not in points]
-            if not candidates or len(points) < 2:
-                continue
-            dst = rng.choice(candidates)
-            shape = shape.moved(src, dst)
-            points.discard(src)
-            points.add(dst)
-        assert_same_global_state(shape, points)
-        # Keep the memos warm so the next delta patches them.
-        shape.holes, shape.is_connected()
-
-
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("family", ["hexagon", "holey"])
 def test_fuzz_system_shape_tracker_matches_rebuild(family, seed):
-    """The acceptance property: random expand / contract / handover /
-    teleport sequences keep the incremental ``ParticleSystem.shape()``
-    state (connectivity, holes, boundary, area) identical to a
-    from-scratch rebuild."""
+    """Random expand / contract / handover / teleport sequences keep the
+    cached ``ParticleSystem.shape()`` snapshot (connectivity, holes,
+    boundary, area) identical to a from-scratch rebuild: every kind of
+    move must invalidate it."""
     rng = random.Random(seed)
     system = ParticleSystem.from_shape(
         make_shape(family, 3, seed=seed), orientation_seed=seed)
-    # Force the cached snapshot to carry faces + connectivity so the
-    # tracker patches real state, not empty memos.
+    # Force the cached snapshot to carry faces + connectivity, so a
+    # snapshot a move failed to invalidate would answer from stale memos.
     system.shape().holes
     system.shape().is_connected()
     for step in range(160):
@@ -208,7 +153,6 @@ def test_fuzz_system_shape_tracker_matches_rebuild(family, seed):
         if step % 2 == 0:
             snapshot = system.shape()
             assert_same_global_state(snapshot, system.occupied_points())
-            # Touch the memos so the next poll patches computed state.
             snapshot.holes
             snapshot.is_connected()
     snapshot = system.shape()
