@@ -9,11 +9,13 @@ The package implements, from scratch:
   outer-boundary-detection primitive OBD (:mod:`repro.core`),
 * the prior-work baselines of Table 1 (:mod:`repro.baselines`), and
 * the experiment harness that regenerates the paper's comparison table and
-  asymptotic claims (:mod:`repro.analysis`).
+  asymptotic claims (:mod:`repro.analysis`, :mod:`repro.orchestrator`).
 
-Quick start::
+The public API lives in :mod:`repro.api`; this package file binds only
+``__version__``, so importing a submodule does not import the whole
+package.  Quick start::
 
-    from repro import hexagon_with_holes, ParticleSystem, elect_leader
+    from repro.api import ParticleSystem, elect_leader, hexagon_with_holes
 
     shape = hexagon_with_holes(radius=7)
     system = ParticleSystem.from_shape(shape, orientation_seed=1)
@@ -21,133 +23,6 @@ Quick start::
     print(outcome.stage_rounds())
 """
 
-from .amoebot import (
-    AmoebotAlgorithm,
-    EventDrivenScheduler,
-    IllegalMoveError,
-    Particle,
-    ParticleSystem,
-    Scheduler,
-    SchedulerResult,
-    SequentialScheduler,
-    make_scheduler,
-    run_algorithm,
-)
-from .analysis import (
-    run_experiment,
-    run_scaling_experiment,
-    run_table1_experiment,
-    format_records,
-    format_scaling_series,
-    format_table1,
-)
-from .apps import SpanningTreeAlgorithm, verify_spanning_tree
-from .baselines import run_erosion_election, run_randomized_election
-from .io import (
-    load_records,
-    load_shape,
-    load_system,
-    save_records,
-    save_shape,
-    save_system,
-)
-from .orchestrator import (
-    ResultCache,
-    RunConfig,
-    RunLedger,
-    SweepResult,
-    SweepSpec,
-    run_sweep,
-    scaling_spec,
-    table1_spec,
-)
-from .core import (
-    CollectSimulator,
-    DLEAlgorithm,
-    ElectionOutcome,
-    OuterBoundaryDetection,
-    elect_leader,
-    elect_leader_known_boundary,
-    verify_unique_leader,
-)
-from .grid import (
-    Shape,
-    ShapeMetrics,
-    annulus,
-    compute_metrics,
-    hexagon,
-    hexagon_with_holes,
-    line_shape,
-    make_shape,
-    parallelogram,
-    random_blob,
-    random_holey_blob,
-    spiral,
-)
-from .session import Session
-from .state import CheckpointContext, CheckpointError
-from .viz import render_shape, render_system
-
 __version__ = "1.2.0"
 
-__all__ = [
-    "AmoebotAlgorithm",
-    "CheckpointContext",
-    "CheckpointError",
-    "CollectSimulator",
-    "DLEAlgorithm",
-    "ElectionOutcome",
-    "IllegalMoveError",
-    "OuterBoundaryDetection",
-    "EventDrivenScheduler",
-    "Particle",
-    "ParticleSystem",
-    "ResultCache",
-    "RunConfig",
-    "RunLedger",
-    "Scheduler",
-    "SchedulerResult",
-    "SequentialScheduler",
-    "Session",
-    "Shape",
-    "SweepResult",
-    "SweepSpec",
-    "ShapeMetrics",
-    "SpanningTreeAlgorithm",
-    "annulus",
-    "compute_metrics",
-    "elect_leader",
-    "elect_leader_known_boundary",
-    "format_records",
-    "format_scaling_series",
-    "format_table1",
-    "hexagon",
-    "hexagon_with_holes",
-    "line_shape",
-    "load_records",
-    "load_shape",
-    "load_system",
-    "make_scheduler",
-    "make_shape",
-    "parallelogram",
-    "random_blob",
-    "random_holey_blob",
-    "render_shape",
-    "render_system",
-    "run_algorithm",
-    "run_erosion_election",
-    "run_experiment",
-    "run_randomized_election",
-    "run_scaling_experiment",
-    "run_sweep",
-    "run_table1_experiment",
-    "save_records",
-    "save_shape",
-    "save_system",
-    "scaling_spec",
-    "spiral",
-    "table1_spec",
-    "verify_spanning_tree",
-    "verify_unique_leader",
-    "__version__",
-]
+__all__ = ["__version__"]

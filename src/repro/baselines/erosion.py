@@ -38,7 +38,7 @@ from ..amoebot.algorithm import (
     is_sce_flag_arc,
 )
 from ..amoebot.particle import Particle
-from ..amoebot.scheduler import canonical_run_kwargs, make_scheduler
+from ..amoebot.scheduler import make_scheduler
 from ..amoebot.system import ParticleSystem
 from ..grid.coords import NUM_DIRECTIONS, Point
 from ..state import run_checkpointed_stage
@@ -285,8 +285,7 @@ def run_erosion_election(system: ParticleSystem, order: str = "random",
                          max_rounds: Optional[int] = None,
                          engine: str = "sweep",
                          checkpoint=None,
-                         faults: str = "", *,
-                         scheduler_order: Optional[str] = None
+                         faults: str = ""
                          ) -> ErosionOutcome:
     """Run the erosion baseline and classify the outcome.
 
@@ -298,9 +297,7 @@ def run_erosion_election(system: ParticleSystem, order: str = "random",
     :class:`repro.state.CheckpointContext` making the run resumable;
     ``faults`` is a :class:`repro.amoebot.faults.FaultSpec` spec string
     ("" = no fault injection).
-    ``scheduler_order=`` is a deprecated alias of ``order=``.
     """
-    order, seed = canonical_run_kwargs(order, seed, scheduler_order)
     if max_rounds is None:
         max_rounds = 10 * len(system) + 100
     algorithm = ErosionLeaderElection()

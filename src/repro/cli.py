@@ -768,8 +768,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         return 2
 
     def progress(task_id: str, result) -> None:
-        if result.get("retrying") or result.get("status") == "retry":
-            status = f"retrying (attempt {result.get('attempt')})"
+        if result["status"] == "retry":
+            status = f"retrying (attempt {result['attempt']})"
         elif "record" in result:
             status = "ok"
         else:
@@ -809,7 +809,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         log.warning("worker: interrupted")
         return 130
     if not args.quiet:
-        log.info(f"worker: exiting after {int(summary)} task(s)")
+        log.info(f"worker: exiting after {summary.processed} task(s)")
         log.info(summary.describe())
     # A worker whose final task failed terminally exits nonzero, so
     # supervisors (CI scripts, systemd units) notice without log-scraping.

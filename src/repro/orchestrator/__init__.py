@@ -15,6 +15,8 @@ Everything that turns a declarative experiment grid into records:
 * :mod:`~repro.orchestrator.net` — the TCP coordinator/worker layer behind
   ``--transport tcp``, ``python -m repro serve`` and
   ``python -m repro worker --connect``,
+* :mod:`~repro.orchestrator.lease` — the lease, retry-budget and
+  settlement rules both distributed backends apply,
 * :mod:`~repro.orchestrator.store` — the append-only JSONL
   :class:`RunLedger` that makes interrupted sweeps resumable (and safe for
   concurrent writers on a shared filesystem),
@@ -39,7 +41,6 @@ from .pool import (
     DEFAULT_MAX_ATTEMPTS,
     RunResult,
     SweepResult,
-    execute_config,
     run_sweep,
 )
 from .net import (
@@ -98,7 +99,6 @@ __all__ = [
     "WorkerSummary",
     "config_digest",
     "default_code_version",
-    "execute_config",
     "fetch_status",
     "format_sweep_scaling",
     "format_sweep_summary",

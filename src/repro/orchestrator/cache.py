@@ -22,6 +22,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from .. import __version__
 from ..telemetry import counter as _metric
 from .fsutil import write_json_atomic
 from .spec import RunConfig
@@ -33,8 +34,6 @@ PathLike = Union[str, Path]
 
 def default_code_version() -> str:
     """The package version, the default cache-invalidation token."""
-    from .. import __version__  # local import: repro/__init__ imports us
-
     return __version__
 
 

@@ -4,9 +4,9 @@ The :mod:`~repro.orchestrator.queue` transport needs a shared filesystem;
 this module needs only a network.  A **coordinator** process
 (``python -m repro serve``) owns the task set in memory — pending tasks,
 leases with heartbeat deadlines, stale-lease reclamation and per-task retry
-budgets, the exact semantics of :class:`~repro.orchestrator.queue.
-FileTaskQueue` — and speaks a JSON-lines protocol over TCP to two kinds of
-clients:
+budgets, under the lease rules of :mod:`~repro.orchestrator.lease` that
+the queue applies too — and speaks a JSON-lines protocol over TCP to two
+kinds of clients:
 
 * **workers** (``python -m repro worker --connect HOST:PORT``) claim tasks,
   heartbeat their leases while the simulation runs, stream back the
@@ -19,10 +19,9 @@ clients:
   idempotent — a result the restarted coordinator already holds is served
   immediately, anything lost is simply re-run).
 
-Because task payloads and result payloads use the **same dialect as the
-filesystem queue** (``kind``/``id``/``digest``/``config``/``attempt``/
-``record``-or-``error``), :func:`~repro.orchestrator.pool.run_sweep` treats
-both distributed backends identically: results are re-ordered into spec
+Both backends build task and result payloads with
+:mod:`~repro.orchestrator.lease`, so :func:`~repro.orchestrator.pool.
+run_sweep` treats them identically: results are re-ordered into spec
 order, cache and ledger writes are unchanged, and a TCP sweep's ledger is
 byte-comparable with a ``--jobs 1`` run of the same spec.
 
@@ -60,17 +59,10 @@ from typing import (
     Tuple,
 )
 
-from ..telemetry import summarize_ages
-from .queue import (
-    DEFAULT_LEASE_TTL,
-    DEFAULT_POLL,
-    DEFAULT_TASK_ATTEMPTS,
-    RESULT_KIND,
-    TASK_KIND,
-    WorkerSummary,
-    _budget,
-)
-from .transport import TransportItem, execute_payload
+from . import lease
+from .lease import DEFAULT_LEASE_TTL, DEFAULT_POLL, DEFAULT_TASK_ATTEMPTS
+from .queue import WorkerSummary, await_workers, worker_loop
+from .transport import TransportItem
 
 __all__ = [
     "DEFAULT_PORT",
@@ -139,15 +131,12 @@ def _auth_token(secret: str, nonce: str) -> str:
 # ---------------------------------------------------------------------------
 
 class TaskBoard:
-    """In-memory task set with the filesystem queue's lease/retry semantics.
+    """In-memory task store applying the :mod:`~repro.orchestrator.lease`
+    rules.
 
-    Thread-safe: every protocol handler thread goes through one lock.  The
-    state machine per task id mirrors the queue directory layout — a task
-    is *pending* (claimable), *leased* (owned by a worker, with a heartbeat
-    deadline), or *done* (a result payload exists).  Reclamation, budget
-    accounting and the "a failure never overwrites a successful result"
-    rule are copied from :class:`~repro.orchestrator.queue.FileTaskQueue`
-    so the two distributed backends stay behaviorally interchangeable.
+    Thread-safe: every protocol handler thread goes through one lock.  A
+    task is *pending* (claimable), *leased* (owned by a worker, with a
+    heartbeat deadline), or *done* (a result payload exists).
     """
 
     def __init__(self, lease_ttl: float = DEFAULT_LEASE_TTL,
@@ -188,9 +177,6 @@ class TaskBoard:
         """Make ``task_id`` runnable; same contract as the queue's enqueue:
         ``"result-exists"`` / ``"pending"`` / ``"enqueued"``.  A lingering
         failed result is discarded and retried from a zeroed attempt count.
-        ``options`` (``checkpoint_every``/``checkpoint_dir``) travels in
-        the task so every worker — including one resuming a reclaimed
-        task — runs it the same way.
         """
         with self._lock:
             result = self._results.get(task_id)
@@ -201,18 +187,9 @@ class TaskBoard:
                 self._result_times.pop(task_id, None)
             if task_id in self._tasks:
                 return "pending"
-            task = {
-                "kind": TASK_KIND,
-                "id": task_id,
-                "digest": digest,
-                "config": config_dict,
-                "attempt": 0,
-                "max_attempts": _budget(max_attempts),
-                "enqueued_at": time.time(),
-            }
-            if options:
-                task["options"] = dict(options)
-            self._tasks[task_id] = task
+            self._tasks[task_id] = lease.new_task(
+                task_id, config_dict, digest, max_attempts, options,
+                time.time())
             self._pending.add(task_id)
         self.note("enqueued")
         return "enqueued"
@@ -250,13 +227,13 @@ class TaskBoard:
         this worker's (reclaimed, completed, or never claimed)."""
         now = time.monotonic() if now is None else now
         with self._lock:
-            lease = self._leases.get(task_id)
-            if lease is None or lease[0] != worker_id:
+            held = self._leases.get(task_id)
+            if held is None or held[0] != worker_id:
                 return False
             # The leased-at stamp survives heartbeats: a lease's age is
             # measured from its claim, not its last proof of life.
             self._leases[task_id] = (worker_id, now + self.lease_ttl,
-                                     lease[2])
+                                     held[2])
         self.note("heartbeats")
         return True
 
@@ -264,64 +241,37 @@ class TaskBoard:
                  outcome: Dict[str, Any]) -> str:
         """Consume a worker's ``execute_payload`` outcome.
 
-        Returns the fate of the task: ``"done"`` (result published — a
-        record, or an error that exhausted the retry budget), ``"retry"``
-        (failure re-enqueued with the attempt counter bumped) or
-        ``"ignored"`` (stale: the lease was reclaimed and someone else owns
-        the task now, or a successful result already exists).
+        Returns the fate of the task, as decided by
+        :func:`~repro.orchestrator.lease.settle`: ``"done"`` (result
+        published), ``"retry"`` (re-enqueued with the attempt counter
+        bumped) or ``"ignored"``.
         """
         with self._lock:
-            existing = self._results.get(task_id)
-            if existing is not None and "record" in existing:
-                return "ignored"
-            task = self._tasks.get(task_id)
-            lease = self._leases.get(task_id)
-            owns = lease is not None and lease[0] == worker_id
-            if task is None:
-                # Unknown task (board restarted): accept a success so the
-                # work is not wasted, drop anything else.
-                if "record" in outcome:
-                    self._publish(task_id, self._result_payload(
-                        task_id, {}, worker_id, 1, outcome))
-                    self.note("completed")
-                    return "done"
-                return "ignored"
-            if "record" in outcome:
-                attempt = int(task.get("attempt", 0)) + 1
-                self._publish(task_id, self._result_payload(
-                    task_id, task, worker_id, attempt, outcome))
-                self._drop_task(task_id)
+            held = self._leases.get(task_id)
+            status, result, retry = lease.settle(
+                task_id, self._tasks.get(task_id), worker_id,
+                held is not None and held[0] == worker_id, outcome,
+                self._results.get(task_id))
+            if retry is not None:
+                self._tasks[task_id] = retry
+                del self._leases[task_id]
+                self._pending.add(task_id)
+                self.note("retries")
+            elif result is not None:
+                self._publish(task_id, result)
+                self._tasks.pop(task_id, None)
+                self._pending.discard(task_id)
+                self._leases.pop(task_id, None)
                 self.note("completed")
-                return "done"
-            if not owns:
-                # A reclaimed lease already consumed this attempt; a late
-                # failure from the presumed-dead worker must not burn more
-                # budget (mirrors the queue's duplicate-run rule).
-                return "ignored"
-            attempt = int(task.get("attempt", 0)) + 1
-            task["attempt"] = attempt
-            budget = _budget(task.get("max_attempts"))
-            if budget is not None and attempt >= budget:
-                self._publish(task_id, self._result_payload(
-                    task_id, task, worker_id, attempt, outcome))
-                self._drop_task(task_id)
-                self.note("completed")
-                self.note("exhausted")
-                return "done"
-            del self._leases[task_id]
-            self._pending.add(task_id)
-            self.note("retries")
-            return "retry"
+                if "error" in result:
+                    self.note("exhausted")
+            return status
 
     # -- shared: stale-lease recovery ---------------------------------------
 
     def reclaim_stale(self, now: Optional[float] = None) -> List[str]:
-        """Recover leases whose heartbeat deadline passed.
-
-        Each reclaim consumes one attempt; a task out of attempts becomes
-        a terminal failed result, otherwise it returns to the pending set
-        for any live worker to claim.
-        """
+        """Recover leases whose heartbeat deadline passed, applying
+        :func:`~repro.orchestrator.lease.expire` to each."""
         now = time.monotonic() if now is None else now
         reclaimed: List[str] = []
         with self._lock:
@@ -329,25 +279,15 @@ class TaskBoard:
                     list(self._leases.items()):
                 if deadline > now:
                     continue
-                task = self._tasks[task_id]
-                attempt = int(task.get("attempt", 0)) + 1
-                task["attempt"] = attempt
-                budget = _budget(task.get("max_attempts"))
                 del self._leases[task_id]
-                if budget is not None and attempt >= budget:
-                    self._publish(task_id, {
-                        "kind": RESULT_KIND,
-                        "id": task_id,
-                        "digest": task.get("digest", ""),
-                        "config": task.get("config", {}),
-                        "error": (f"worker lease expired and the task is out "
-                                  f"of attempts ({attempt}/{budget})"),
-                        "attempt": attempt,
-                    }, now=now)
+                task, failure = lease.expire(task_id, self._tasks[task_id])
+                if failure is None:
+                    self._tasks[task_id] = task
+                    self._pending.add(task_id)
+                else:
+                    self._publish(task_id, failure, now=now)
                     self._tasks.pop(task_id, None)
                     self.note("exhausted")
-                else:
-                    self._pending.add(task_id)
                 reclaimed.append(task_id)
                 self.note("reclaims")
             # Bounded memory for long-lived coordinators: results nobody
@@ -363,37 +303,18 @@ class TaskBoard:
 
     def stats(self, now: Optional[float] = None,
               window: float = 60.0) -> Dict[str, Any]:
-        """Board depth plus lease ages, lifetime counters and throughput.
-
-        The historical ``pending`` / ``leased`` / ``done`` tallies stay
-        top-level (callers index them directly); everything added for
-        ``repro status`` nests beside them.  ``now`` is on the monotonic
-        clock and injectable for tests.
-        """
+        """The :func:`~repro.orchestrator.lease.board` block plus lifetime
+        counters.  ``now`` is on the monotonic clock and injectable for
+        tests."""
         now = time.monotonic() if now is None else now
         with self._lock:
-            leases = [{"id": task_id, "worker": worker,
-                       "age": round(max(0.0, now - leased_at), 3)}
-                      for task_id, (worker, _deadline, leased_at)
-                      in sorted(self._leases.items())]
-            completed_in_window = sum(1 for stamp in self._completions
-                                      if now - stamp <= window)
-            depth = {
-                "pending": len(self._pending),
-                "leased": len(self._leases),
-                "done": len(self._results),
-            }
+            depth = lease.board(
+                now, len(self._pending), len(self._results),
+                [(task_id, worker, leased_at) for task_id,
+                 (worker, _deadline, leased_at) in self._leases.items()],
+                list(self._completions), window)
         with self._counter_lock:
-            counters = dict(self._counters)
-        depth["counters"] = counters
-        depth["lease_ages"] = summarize_ages([l["age"] for l in leases])
-        depth["leases"] = leases
-        depth["throughput"] = {
-            "window": window,
-            "completed": completed_in_window,
-            "per_second": round(completed_in_window / window, 4)
-                          if window > 0 else 0.0,
-        }
+            depth["counters"] = dict(self._counters)
         return depth
 
     # -- internals (call with the lock held) --------------------------------
@@ -404,30 +325,6 @@ class TaskBoard:
         self._results[task_id] = payload
         self._result_times[task_id] = now
         self._completions.append(now)
-
-    def _drop_task(self, task_id: str) -> None:
-        self._tasks.pop(task_id, None)
-        self._pending.discard(task_id)
-        self._leases.pop(task_id, None)
-
-    @staticmethod
-    def _result_payload(task_id: str, task: Dict[str, Any], worker_id: str,
-                        attempt: int, outcome: Dict[str, Any]
-                        ) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "kind": RESULT_KIND,
-            "id": task_id,
-            "digest": task.get("digest", ""),
-            "config": task.get("config", outcome.get("config", {})),
-            "elapsed": outcome.get("elapsed", 0.0),
-            "worker": worker_id,
-            "attempt": attempt,
-        }
-        if "record" in outcome:
-            payload["record"] = outcome["record"]
-        else:
-            payload["error"] = outcome.get("error", "unknown error")
-        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -823,6 +720,80 @@ def fetch_status(address: Any, secret: Optional[str] = None,
 # The network worker — ``python -m repro worker --connect HOST:PORT``
 # ---------------------------------------------------------------------------
 
+class _TcpWorker:
+    """The TCP side of :func:`~repro.orchestrator.queue.worker_loop`:
+    connecting with exponential backoff, counting reconnects, replaying a
+    result the link dropped, and the coordinator's stop broadcast."""
+
+    def __init__(self, address: Any, secret: Optional[str],
+                 summary: WorkerSummary, poll: float) -> None:
+        self.address = address
+        self.secret = secret
+        self.summary = summary
+        self.poll = poll
+        self.stopped = False
+        self.client: Optional[CoordinatorClient] = None
+        #: (task_id, outcome) that could not be delivered before a disconnect.
+        self.unsent: Optional[Tuple[str, Dict[str, Any]]] = None
+        self.backoff = _BACKOFF_FIRST
+        self.connected_before = False
+        self.heartbeat_every = lease.heartbeat_interval(DEFAULT_LEASE_TTL)
+
+    def claim(self) -> Optional[Tuple[str, Dict[str, Any]]]:
+        if self.client is None:
+            try:
+                self.client = CoordinatorClient(
+                    self.address, secret=self.secret, role="worker",
+                    worker_id=self.summary.worker_id).connect()
+            except HandshakeError:
+                raise  # terminal: the same credentials can never succeed
+            except OSError:
+                time.sleep(self.backoff)
+                self.backoff = min(self.backoff * 2, _BACKOFF_MAX)
+                return None
+            self.backoff = _BACKOFF_FIRST
+            self.heartbeat_every = lease.heartbeat_interval(
+                self.client.lease_ttl)
+            if self.connected_before:
+                self.summary.reconnects += 1
+            self.connected_before = True
+        if self.unsent is not None:
+            if self.complete(*self.unsent) != "undelivered":
+                self.summary.replayed += 1
+            return None
+        try:
+            response = self.client.request({"op": "claim"})
+        except OSError:
+            self.close()
+            return None
+        self.stopped = bool(response.get("stop"))
+        task = response.get("task")
+        if task is None:
+            if not self.stopped:
+                time.sleep(self.poll)
+            return None
+        return str(task["id"]), task
+
+    def heartbeat(self, task_id: str) -> None:
+        self.client.request({"op": "heartbeat", "id": task_id})
+
+    def complete(self, task_id: str, outcome: Dict[str, Any]) -> str:
+        self.unsent = (task_id, outcome)
+        try:
+            reply = self.client.request({"op": "result", "id": task_id,
+                                         "outcome": outcome})
+        except OSError:
+            self.close()
+            return "undelivered"
+        self.unsent = None
+        return str(reply.get("status", "done"))
+
+    def close(self) -> None:
+        if self.client is not None:
+            self.client.close()
+            self.client = None
+
+
 def run_tcp_worker(address: Any,
                    secret: Optional[str] = None,
                    worker_id: Optional[str] = None,
@@ -833,163 +804,25 @@ def run_tcp_worker(address: Any,
                    = None,
                    checkpoint_dir: Optional[str] = None,
                    checkpoint_every: Optional[int] = None) -> WorkerSummary:
-    """Pull-and-execute loop against a TCP coordinator; returns a
-    :class:`~repro.orchestrator.queue.WorkerSummary` (which compares equal
-    to the number of tasks processed).
+    """The ``python -m repro worker --connect HOST:PORT`` daemon: runs
+    :func:`~repro.orchestrator.queue.worker_loop` against a coordinator
+    and returns its summary.
 
-    The body mirrors :func:`~repro.orchestrator.queue.run_worker`: claim,
-    execute through the shared :func:`execute_payload`, heartbeat from a
-    background thread while the simulation runs, publish the outcome.  Two
-    differences are inherent to the transport: retry/budget decisions live
-    on the coordinator (it owns the task set), and any link failure —
-    coordinator restart included — is answered by reconnecting with
-    exponential backoff, re-sending an unpublished result first.  A
-    rejected handshake (:class:`HandshakeError`) is terminal, never
-    retried.
-
-    ``checkpoint_dir`` / ``checkpoint_every`` override the task-carried
-    checkpoint options — TCP workers share nothing with the coordinator,
-    so the directory a sweep names is usually only meaningful when the
-    worker fleet re-points it at storage the *workers* share.
-
-    Exit conditions: a stop broadcast from the coordinator
-    (:meth:`CoordinatorServer.stop_workers`), ``max_idle`` seconds without
-    work (time spent disconnected counts as idle) or ``max_tasks``
-    processed.
+    Any link failure — coordinator restart included — is answered by
+    reconnecting with exponential backoff, re-sending an undelivered
+    result first; a rejected handshake (:class:`HandshakeError`) is
+    terminal.  TCP workers share nothing with the coordinator, so a
+    sweep's checkpoint directory usually means something only when
+    ``checkpoint_dir`` re-points it at storage the *workers* share.  The
+    worker exits on the coordinator's stop broadcast
+    (:meth:`CoordinatorServer.stop_workers`), after ``max_idle`` seconds
+    without work (time spent disconnected counts as idle), or after
+    ``max_tasks`` tasks.
     """
-    worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
     summary = WorkerSummary(worker_id)
-    idle_since = time.monotonic()
-    backoff = _BACKOFF_FIRST
-    connected_before = False
-    client: Optional[CoordinatorClient] = None
-    #: (task_id, outcome) that could not be delivered before a disconnect.
-    unsent: Optional[Tuple[str, Dict[str, Any]]] = None
-
-    def drop_connection() -> None:
-        nonlocal client
-        if client is not None:
-            client.close()
-            client = None
-
-    try:
-        while True:
-            if max_idle is not None and \
-                    time.monotonic() - idle_since >= max_idle:
-                break
-            if client is None:
-                try:
-                    client = CoordinatorClient(
-                        address, secret=secret, role="worker",
-                        worker_id=worker_id).connect()
-                    backoff = _BACKOFF_FIRST
-                    if connected_before:
-                        summary.reconnects += 1
-                    connected_before = True
-                except HandshakeError:
-                    raise
-                except OSError:
-                    time.sleep(backoff)
-                    backoff = min(backoff * 2, _BACKOFF_MAX)
-                    continue
-            try:
-                if unsent is not None:
-                    task_id, outcome = unsent
-                    client.request({"op": "result", "id": task_id,
-                                    "outcome": outcome})
-                    unsent = None
-                    summary.replayed += 1
-                    if max_tasks is not None \
-                            and summary.processed >= max_tasks:
-                        break
-                    continue
-                response = client.request({"op": "claim"})
-            except OSError:
-                drop_connection()
-                continue
-            if response.get("stop"):
-                break
-            task = response.get("task")
-            if task is None:
-                time.sleep(poll)
-                continue
-            task_id = str(task["id"])
-
-            heartbeat_every = max(min(client.lease_ttl / 4.0, 5.0), 0.05)
-            stop_beat = threading.Event()
-            beat_client = client
-
-            def beat() -> None:
-                while not stop_beat.wait(heartbeat_every):
-                    try:
-                        beat_client.request({"op": "heartbeat",
-                                             "id": task_id})
-                        summary.heartbeats += 1
-                    except (OSError, RuntimeError):
-                        return  # main loop will notice on publish
-
-            task_options = dict(task.get("options") or {})
-            if checkpoint_dir is not None:
-                task_options["checkpoint_dir"] = str(checkpoint_dir)
-            if checkpoint_every is not None:
-                task_options["checkpoint_every"] = int(checkpoint_every)
-
-            beater = threading.Thread(target=beat, daemon=True)
-            beater.start()
-            try:
-                outcome = execute_payload(task.get("config", {}),
-                                          task_options or None)
-            finally:
-                stop_beat.set()
-                beater.join()
-
-            result: Dict[str, Any] = {
-                "id": task_id,
-                "digest": task.get("digest", ""),
-                "worker": worker_id,
-                "elapsed": outcome.get("elapsed", 0.0),
-                "attempt": int(task.get("attempt", 0)) + 1,
-            }
-            if "resumed_round" in outcome:
-                result["resumed_round"] = outcome["resumed_round"]
-            try:
-                reply = client.request({"op": "result", "id": task_id,
-                                        "outcome": outcome})
-                result["status"] = reply.get("status", "done")
-            except OSError:
-                unsent = (task_id, outcome)
-                drop_connection()
-                result["status"] = "undelivered"
-            if "record" in outcome:
-                result["record"] = outcome["record"]
-                summary.done += 1
-                summary.last_task_failed = False
-            else:
-                result["error"] = outcome.get("error", "unknown error")
-                if result["status"] == "retry":
-                    summary.retried += 1
-                    summary.last_task_failed = False
-                else:
-                    # Terminal: the coordinator published the failure (or
-                    # the link dropped with a failure outcome in hand).
-                    summary.failed += 1
-                    summary.last_task_failed = True
-            summary.processed += 1
-            # The idle clock restarts when a task *finishes*: a long task
-            # must never count toward --max-idle.
-            idle_since = time.monotonic()
-            if progress is not None:
-                progress(task_id, result)
-            # Honouring --max-tasks waits for an undelivered result: the
-            # reconnect loop above must get a chance to re-send it, or the
-            # completed work would be thrown away (``--max-idle`` still
-            # bounds how long that redelivery is attempted).
-            if max_tasks is not None and summary.processed >= max_tasks \
-                    and unsent is None:
-                break
-    finally:
-        drop_connection()
-    return summary
+    return worker_loop(_TcpWorker(address, secret, summary, poll), summary,
+                       max_idle, max_tasks, progress, checkpoint_dir,
+                       checkpoint_every)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,7 +854,7 @@ class TcpTransport:
         self.coordinator = coordinator
         self.secret = secret
         self.poll = float(poll)
-        self.max_attempts = _budget(max_attempts)
+        self.max_attempts = max_attempts
         self.workers_expected = int(workers_expected)
         self.worker_timeout = float(worker_timeout)
         self.timeout = timeout
@@ -1029,19 +862,19 @@ class TcpTransport:
     def run(self, items: Sequence[TransportItem],
             options: Optional[Dict[str, Any]] = None
             ) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        from .queue import FileTaskQueue
-
         deadline = (time.monotonic() + self.timeout
                     if self.timeout is not None else None)
         client = self._connect(deadline, first=True)
         try:
             if self.workers_expected > 0:
-                self._await_workers(client)
+                await_workers(self, lambda: self._workers(client),
+                              "connected to the coordinator",
+                              "python -m repro worker --connect HOST:PORT")
             pending: Dict[str, int] = {
-                FileTaskQueue.task_id(index, digest): index
+                lease.task_id(index, digest): index
                 for index, _config, digest in items}
             tasks = [{
-                "id": FileTaskQueue.task_id(index, digest),
+                "id": lease.task_id(index, digest),
                 "digest": digest,
                 "config": config.to_dict(),
                 "max_attempts": self.max_attempts,
@@ -1123,17 +956,3 @@ class TcpTransport:
             return list(client.request({"op": "workers"}).get("workers", []))
         except (OSError, RuntimeError):
             return []
-
-    def _await_workers(self, client: CoordinatorClient) -> None:
-        deadline = time.monotonic() + self.worker_timeout
-        while True:
-            alive = self._workers(client)
-            if len(alive) >= self.workers_expected:
-                return
-            if time.monotonic() >= deadline:
-                raise RuntimeError(
-                    f"only {len(alive)} of {self.workers_expected} expected "
-                    f"worker(s) connected to the coordinator within "
-                    f"{self.worker_timeout:.0f}s — start them with "
-                    f"'python -m repro worker --connect HOST:PORT'")
-            time.sleep(min(self.poll, 0.5))

@@ -29,17 +29,12 @@ first, and the ledger is written in spec order too, so ``jobs=1``,
 
 from __future__ import annotations
 
-import inspect
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..analysis.experiments import ExperimentRecord, run_experiment
-from ..grid.generators import make_shape
-from ..grid.metrics import ShapeMetrics, compute_metrics
-from ..grid.shape import Shape
+from ..analysis.experiments import ExperimentRecord
 from ..telemetry import counter as _metric, get_event_log
 from .cache import ResultCache
 from .spec import RunConfig, SweepSpec
@@ -51,7 +46,6 @@ __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "RunResult",
     "SweepResult",
-    "execute_config",
     "run_sweep",
 ]
 
@@ -159,47 +153,6 @@ class SweepResult:
 # Execution
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
-def _shape_and_metrics(family: str, size: int,
-                       seed: int) -> Tuple[Shape, ShapeMetrics]:
-    """Shape construction and metrics are pure and shared by every algorithm
-    of a sweep on the same (family, size, seed) — build them once per
-    process, like the old serial table1 loop did."""
-    shape = make_shape(family, size, seed=seed)
-    return shape, compute_metrics(shape)
-
-
-def execute_config(config: RunConfig,
-                   checkpoint_every: Optional[int] = None,
-                   checkpoint_dir: Optional[str] = None) -> ExperimentRecord:
-    """Run one config from scratch (no cache involved).
-
-    Thin front-end over :class:`repro.session.Session`, kept for callers
-    that want the record without the session bookkeeping.
-    """
-    from ..session import Session
-
-    return Session.run(config, checkpoint_every=checkpoint_every,
-                       checkpoint_dir=checkpoint_dir).record
-
-
-def _accepts_options(transport: Any) -> bool:
-    """Whether the transport's ``run`` takes the execution-options dict.
-
-    Custom transports predating checkpointing only accept ``run(items)``;
-    they keep working, merely without checkpoint support.
-    """
-    try:
-        signature = inspect.signature(transport.run)
-    except (TypeError, ValueError):
-        return False
-    if len(signature.parameters) >= 2:
-        return True
-    return any(p.kind == inspect.Parameter.VAR_POSITIONAL
-               or p.kind == inspect.Parameter.VAR_KEYWORD
-               for p in signature.parameters.values())
-
-
 def _result_from_payload(config: RunConfig,
                          payload: Dict[str, Any]) -> RunResult:
     from ..io import records_from_dicts
@@ -259,9 +212,7 @@ def run_sweep(spec: Union[SweepSpec, Sequence[RunConfig]],
     many scheduler rounds (through :class:`repro.session.Session`), so a
     killed worker's half-done run continues from the last checkpoint
     instead of restarting.  These are execution options, not run identity:
-    they never enter the cache digest or the ledger.  Transports that do
-    not understand options (custom ``run(items)`` objects) simply run
-    without checkpointing.
+    they never enter the cache digest or the ledger.
     """
     configs = spec.expand() if isinstance(spec, SweepSpec) else list(spec)
     for config in configs:
@@ -388,11 +339,7 @@ def run_sweep(spec: Union[SweepSpec, Sequence[RunConfig]],
             options = {"checkpoint_every": checkpoint_every,
                        "checkpoint_dir": (str(checkpoint_dir)
                                           if checkpoint_dir else None)}
-        if options is not None and _accepts_options(transport):
-            results = transport.run(items, options)
-        else:
-            results = transport.run(items)
-        for index, payload in results:
+        for index, payload in transport.run(items, options):
             finish(index, _result_from_payload(configs[index], payload))
 
     sweep_result = SweepResult(results=list(slots),

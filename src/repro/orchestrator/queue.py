@@ -7,22 +7,26 @@ for their result files, and feeds them back through the normal
 :func:`~repro.orchestrator.pool.run_sweep` bookkeeping — so cache,
 ledger, ordering and aggregation behave exactly as in a local run.
 
-The queue needs nothing but POSIX rename semantics:
+The lease rules — attempts, budgets, which outcome settles a task — live
+in :mod:`~repro.orchestrator.lease` and are shared with the TCP backend;
+this module stores their state as files, needing nothing but POSIX rename
+semantics:
 
 * **Claiming is an atomic rename** of ``tasks/<id>.json`` into
   ``leases/<id>.json``.  Exactly one worker wins; losers get ``ENOENT``
-  and move on.
+  and move on.  The winner records itself in the lease's ``worker``
+  field, which is how :meth:`FileTaskQueue.complete` tells the live lease
+  holder from a worker whose lease was reclaimed.
 * **Leases are heartbeats**: the owning worker re-touches its lease file
   while it executes.  A lease whose mtime is older than ``lease_ttl`` is
   presumed dead and *reclaimed* — renamed away under a private name (again
-  atomic, so only one reclaimer wins) and re-enqueued with its attempt
-  counter bumped.
+  atomic, so only one reclaimer wins) and expired by the lease rules.
 * **Results are atomic too**: workers write ``results/<id>.json`` via a
   temp file + ``os.replace``, so the coordinator never reads a torn
   result.
-* **Retries are budgeted**: each task carries ``attempt``/``max_attempts``;
-  a task that keeps failing (or whose workers keep dying) becomes a failed
-  result instead of looping forever.
+
+This module also holds the worker loop both backends run
+(:func:`worker_loop`) and :class:`WorkerSummary`.
 
 Directory layout under the queue root::
 
@@ -40,12 +44,19 @@ import socket
 import threading
 import time
 import uuid
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
-from ..telemetry import counter as _metric, summarize_ages
+from ..telemetry import counter as _metric
+from . import lease
 from .fsutil import read_json as _read_json
 from .fsutil import write_json_atomic as _write_json_atomic
+from .lease import (
+    DEFAULT_LEASE_TTL, DEFAULT_POLL, DEFAULT_TASK_ATTEMPTS, TASK_KIND,
+)
 from .transport import TransportItem, execute_payload
 
 __all__ = [
@@ -59,20 +70,12 @@ __all__ = [
 ]
 
 PathLike = Union[str, Path]
+ProgressFn = Callable[[str, Dict[str, Any]], None]
 
-TASK_KIND = "sweep-task"
-RESULT_KIND = "sweep-task-result"
 WORKER_KIND = "sweep-worker"
 STOP_FILENAME = "STOP"
 #: Coordinator-published live status snapshot (atomic write, JSON).
 STATUS_FILENAME = "status.json"
-
-#: Seconds without a heartbeat after which a lease is presumed dead.
-DEFAULT_LEASE_TTL = 60.0
-#: Seconds between idle polls (workers) and result scans (coordinator).
-DEFAULT_POLL = 0.2
-#: Default per-task execution budget (first try included).
-DEFAULT_TASK_ATTEMPTS = 3
 
 
 def _touch(path: Path) -> None:
@@ -82,69 +85,41 @@ def _touch(path: Path) -> None:
         pass  # raced a reclaim/cleanup; the owner will find out shortly
 
 
-def _budget(value: Any) -> Optional[int]:
-    """Normalise a retry budget: ``None`` / ``<= 0`` mean unlimited."""
-    if value is None:
-        return None
-    value = int(value)
-    return value if value > 0 else None
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink()
+    except OSError:
+        pass  # already gone: another process settled or reclaimed it
 
 
-def _payload_budget(payload: Dict[str, Any]) -> Optional[int]:
-    return _budget(payload.get("max_attempts", DEFAULT_TASK_ATTEMPTS))
-
-
+@dataclass
 class WorkerSummary:
     """What one worker did over its lifetime, for the shutdown summary.
 
     Returned by :func:`run_worker` and
-    :func:`~repro.orchestrator.net.run_tcp_worker`.  Compares equal to an
-    ``int`` as the number of tasks processed, so the historical
-    ``run_worker(...) == N`` contract (and every caller written against
-    it) keeps working.
+    :func:`~repro.orchestrator.net.run_tcp_worker`; ``worker_id`` defaults
+    to ``<host>-<pid>``.
     """
 
-    __slots__ = ("worker_id", "processed", "done", "failed", "retried",
-                 "heartbeats", "reconnects", "replayed", "last_task_failed")
+    worker_id: Optional[str] = None
+    processed: int = 0
+    done: int = 0
+    failed: int = 0
+    retried: int = 0
+    heartbeats: int = 0
+    reconnects: int = 0
+    replayed: int = 0
+    #: Whether the most recent task ended in a *terminal* failure (a retry
+    #: that stays on the queue does not count) — the CLI exits nonzero on it.
+    last_task_failed: bool = False
 
-    def __init__(self, worker_id: str = "") -> None:
-        self.worker_id = worker_id
-        self.processed = 0
-        self.done = 0
-        self.failed = 0
-        self.retried = 0
-        self.heartbeats = 0
-        self.reconnects = 0
-        self.replayed = 0
-        #: Whether the most recent task ended in a *terminal* failure (a
-        #: retry that stays on the queue does not count) — the CLI exits
-        #: nonzero on it.
-        self.last_task_failed = False
-
-    def __int__(self) -> int:
-        return self.processed
-
-    def __index__(self) -> int:
-        return self.processed
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, int):
-            return self.processed == other
-        if isinstance(other, WorkerSummary):
-            return all(getattr(self, slot) == getattr(other, slot)
-                       for slot in self.__slots__)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (f"WorkerSummary(worker_id={self.worker_id!r}, "
-                f"processed={self.processed}, done={self.done}, "
-                f"failed={self.failed}, retried={self.retried})")
+    def __post_init__(self) -> None:
+        if not self.worker_id:
+            self.worker_id = f"{socket.gethostname()}-{os.getpid()}"
 
     def describe(self) -> str:
         """The one-line shutdown summary the worker CLI logs."""
-        line = (f"worker {self.worker_id or '?'} done: "
+        line = (f"worker {self.worker_id} done: "
                 f"{self.processed} task(s) "
                 f"({self.done} ok, {self.failed} failed, "
                 f"{self.retried} retried), "
@@ -173,12 +148,7 @@ class FileTaskQueue:
 
     # -- identities ---------------------------------------------------------
 
-    @staticmethod
-    def task_id(index: int, digest: str) -> str:
-        """Stable id: the spec index keeps claim order ≈ spec order, the
-        digest makes concurrent coordinators running the same spec share
-        (rather than duplicate) tasks."""
-        return f"{index:06d}-{digest}"
+    task_id = staticmethod(lease.task_id)
 
     def task_path(self, task_id: str) -> Path:
         return self.tasks / f"{task_id}.json"
@@ -201,9 +171,8 @@ class FileTaskQueue:
         coordinator already enqueued it and it is waiting or running.
         ``"enqueued"``: a fresh task file was written.  A lingering *failed*
         result is deleted and retried — failures are never treated as
-        cached.  ``options`` (e.g. ``checkpoint_every``/``checkpoint_dir``)
-        rides along in the task file so any worker — including the one
-        that resumes after the original owner dies — runs it the same way.
+        cached.  ``options`` rides along in the task file
+        (:func:`~repro.orchestrator.lease.new_task`).
         """
         self.ensure_layout()
         result = self.result_path(task_id)
@@ -211,24 +180,11 @@ class FileTaskQueue:
         if payload is not None and "record" in payload:
             return "result-exists"
         if payload is not None:
-            try:
-                result.unlink()
-            except OSError:
-                pass
+            _unlink(result)
         if self.task_path(task_id).exists() or self.lease_path(task_id).exists():
             return "pending"
-        task = {
-            "kind": TASK_KIND,
-            "id": task_id,
-            "digest": digest,
-            "config": config_dict,
-            "attempt": 0,
-            "max_attempts": _budget(max_attempts),
-            "enqueued_at": time.time(),
-        }
-        if options:
-            task["options"] = dict(options)
-        _write_json_atomic(self.task_path(task_id), task)
+        _write_json_atomic(self.task_path(task_id), lease.new_task(
+            task_id, config_dict, digest, max_attempts, options, time.time()))
         _metric("queue.enqueued").inc()
         return "enqueued"
 
@@ -258,23 +214,20 @@ class FileTaskQueue:
         now = time.time() if now is None else now
         self.ensure_layout()
         pending = sum(1 for _ in self.tasks.glob("*.json"))
-        leases: List[Dict[str, Any]] = []
-        for path in sorted(self.leases.glob("*.json")):
+        leases: List[Tuple[str, Optional[str], float]] = []
+        for path in self.leases.glob("*.json"):
             try:
-                age = max(0.0, now - path.stat().st_mtime)
+                beat = path.stat().st_mtime
             except OSError:
                 continue  # completed or reclaimed while we looked
-            payload = _read_json(path) or {}
-            leases.append({"id": path.stem,
-                           "worker": payload.get("worker"),
-                           "age": round(age, 3)})
+            leases.append((path.stem, (_read_json(path) or {}).get("worker"),
+                           beat))
         done = 0
-        completed_in_window = 0
+        completions: List[float] = []
         for path in self.results.glob("*.json"):
             done += 1
             try:
-                if now - path.stat().st_mtime <= window:
-                    completed_in_window += 1
+                completions.append(path.stat().st_mtime)
             except OSError:
                 continue
         workers: List[Dict[str, Any]] = []
@@ -292,19 +245,8 @@ class FileTaskQueue:
             "kind": "queue-status",
             "root": str(self.root),
             "lease_ttl": self.lease_ttl,
-            "board": {
-                "pending": pending,
-                "leased": len(leases),
-                "done": done,
-                "lease_ages": summarize_ages([l["age"] for l in leases]),
-                "leases": leases,
-                "throughput": {
-                    "window": window,
-                    "completed": completed_in_window,
-                    "per_second": round(completed_in_window / window, 4)
-                                  if window > 0 else 0.0,
-                },
-            },
+            "board": lease.board(now, pending, done, leases, completions,
+                                 window),
             "workers": workers,
             "stop": (self.root / STOP_FILENAME).exists(),
         }
@@ -332,14 +274,7 @@ class FileTaskQueue:
             _touch(lease_path)
             payload = _read_json(lease_path)
             if payload is None or payload.get("kind") != TASK_KIND:
-                # An unreadable task must still terminate: publishing a
-                # failed result (rather than silently dropping the file)
-                # keeps the coordinator from waiting on it forever.
-                self.complete(task_path.stem, {
-                    "error": (f"unreadable task payload for "
-                              f"{task_path.stem!r}"),
-                    "attempt": 1,
-                })
+                self._fail_unreadable(task_path.stem, lease_path)
                 continue
             if worker_id is not None:
                 payload["worker"] = worker_id
@@ -349,39 +284,81 @@ class FileTaskQueue:
             return task_path.stem, payload
         return None
 
-    def touch_lease(self, task_id: str) -> None:
-        """Heartbeat: prove the lease owner is still alive."""
+    def touch_lease(self, task_id: str,
+                    worker_id: Optional[str] = None) -> bool:
+        """Heartbeat: prove the lease owner is still alive.  ``False`` if
+        ``worker_id`` no longer holds the lease: a reclaimed worker must
+        not keep the new holder's lease fresh."""
+        held = _read_json(self.lease_path(task_id))
+        if held is None or held.get("worker") != worker_id:
+            return False
         _touch(self.lease_path(task_id))
         _metric("queue.heartbeats").inc()
+        return True
 
-    def complete(self, task_id: str, result_payload: Dict[str, Any]) -> None:
-        """Publish a result (record or terminal error) and drop the lease.
+    def complete(self, worker_id: str, task_id: str,
+                 outcome: Dict[str, Any]) -> str:
+        """Settle a worker's ``execute_payload`` outcome.
 
-        A failure never overwrites an existing *successful* result: a
-        reclaimer that presumed a slow-but-alive worker dead (or a worker
-        whose duplicate run lost a race) must not turn a finished task
-        back into a failed one.
+        Returns ``"done"`` (result published), ``"retry"`` (task
+        re-enqueued with its attempt bumped) or ``"ignored"``, as decided
+        by :func:`~repro.orchestrator.lease.settle`.  ``worker_id`` holds
+        the lease when the lease file's ``worker`` field names it.
         """
-        result_payload.setdefault("kind", RESULT_KIND)
-        result_payload.setdefault("id", task_id)
-        existing = _read_json(self.result_path(task_id))
-        if not (existing is not None and "record" in existing
-                and "record" not in result_payload):
-            _write_json_atomic(self.result_path(task_id), result_payload)
-        _metric("queue.completes").inc()
-        try:
-            self.lease_path(task_id).unlink()
-        except OSError:
-            pass  # already reclaimed; the duplicate run wrote the same result
+        held = _read_json(self.lease_path(task_id))
+        owns = held is not None and held.get("worker") == worker_id
+        task = held or _read_json(self.task_path(task_id))
+        status, result, retry = lease.settle(
+            task_id, task, worker_id, owns, outcome,
+            _read_json(self.result_path(task_id)))
+        if retry is not None:
+            # Set the lease aside before re-enqueueing: a claimer may rename
+            # the new task file onto leases/<id>.json at once, and its lease
+            # must survive.  A crash in between leaves a ``.reclaim`` file
+            # that reclaim_stale() recovers.
+            private = self._set_aside(self.lease_path(task_id), task_id)
+            if private is None:
+                return "ignored"  # reclaimed meanwhile; the expiry counted
+            _metric("queue.retries").inc()
+            _write_json_atomic(self.task_path(task_id), retry)
+            _unlink(private)
+            return status
+        if result is not None:
+            self._publish(task_id, result)
+            _unlink(self.task_path(task_id))
+        if result is not None or owns:
+            _unlink(self.lease_path(task_id))
+        return status
 
-    def release_for_retry(self, task_id: str, payload: Dict[str, Any]) -> None:
-        """Put a failed-but-retryable task back on the queue."""
-        _metric("queue.retries").inc()
-        _write_json_atomic(self.task_path(task_id), payload)
+    def _set_aside(self, path: Path, task_id: str) -> Optional[Path]:
+        """Atomically rename ``path`` to a fresh private ``.reclaim`` name;
+        ``None`` if another process moved it first."""
+        private = self.leases / f".{task_id}.{uuid.uuid4().hex}.reclaim"
         try:
-            self.lease_path(task_id).unlink()
+            os.rename(path, private)
         except OSError:
-            pass
+            return None
+        return private
+
+    def _publish(self, task_id: str, payload: Dict[str, Any]) -> None:
+        """Write a result file, never over a published success (a
+        concurrent settle of the same task may have just written one)."""
+        payload.setdefault("kind", lease.RESULT_KIND)
+        payload.setdefault("id", task_id)
+        existing = _read_json(self.result_path(task_id))
+        if existing is None or "record" not in existing:
+            _write_json_atomic(self.result_path(task_id), payload)
+        _metric("queue.completes").inc()
+
+    def _fail_unreadable(self, task_id: str, path: Path) -> None:
+        """An unreadable task must still terminate: publishing a failed
+        result (rather than silently dropping the file) keeps the
+        coordinator from waiting on it forever."""
+        self._publish(task_id, {
+            "error": f"unreadable task payload for {task_id!r}",
+            "attempt": 1,
+        })
+        _unlink(path)
 
     # -- maintenance: long-lived queue directories ---------------------------
 
@@ -436,8 +413,8 @@ class FileTaskQueue:
 
         Both workers and the coordinator call this opportunistically, so a
         sweep finishes even if the machine that claimed a task died.  Each
-        reclaim consumes one attempt; a task out of attempts becomes a
-        failed result.  ``.reclaim`` files orphaned by a reclaimer that
+        reclaim applies :func:`~repro.orchestrator.lease.expire`.
+        ``.reclaim`` files orphaned by a reclaimer that
         itself died mid-recovery are swept by the same pass, so a task can
         never be stranded under a name nothing scans.
         """
@@ -471,23 +448,12 @@ class FileTaskQueue:
             fallback_id = path.stem
         else:  # ".<task-id>.<nonce>.reclaim" left by a dead reclaimer
             fallback_id = path.name.lstrip(".").rsplit(".", 2)[0]
-        private = self.leases / f".{fallback_id}.{uuid.uuid4().hex}.reclaim"
-        try:
-            os.rename(path, private)
-        except OSError:
+        private = self._set_aside(path, fallback_id)
+        if private is None:
             return None  # lost the race to another reclaimer / completion
         payload = _read_json(private)
         if payload is None or payload.get("kind") != TASK_KIND:
-            # Same liveness rule as claim(): an unreadable task becomes a
-            # failed result instead of vanishing.
-            self.complete(fallback_id, {
-                "error": f"unreadable task payload for {fallback_id!r}",
-                "attempt": 1,
-            })
-            try:
-                private.unlink()
-            except OSError:
-                pass
+            self._fail_unreadable(fallback_id, private)
             return fallback_id
         task_id = payload.get("id") or fallback_id
         # If the task turned out to be alive after all — its result was
@@ -497,35 +463,148 @@ class FileTaskQueue:
                  or self.lease_path(task_id).exists())
         result = _read_json(self.result_path(task_id))
         if alive or (result is not None and "record" in result):
-            try:
-                private.unlink()
-            except OSError:
-                pass
+            _unlink(private)
             return None
-        payload["attempt"] = int(payload.get("attempt", 0)) + 1
-        budget = _payload_budget(payload)
-        if budget is not None and payload["attempt"] >= budget:
-            self.complete(task_id, {
-                "kind": RESULT_KIND,
-                "id": task_id,
-                "digest": payload.get("digest", ""),
-                "config": payload.get("config", {}),
-                "error": (f"worker lease expired and the task is out of "
-                          f"attempts ({payload['attempt']}/{budget})"),
-                "attempt": payload["attempt"],
-            })
+        task, failure = lease.expire(task_id, payload)
+        if failure is None:
+            _write_json_atomic(self.task_path(task_id), task)
         else:
-            _write_json_atomic(self.task_path(task_id), payload)
-        try:
-            private.unlink()
-        except OSError:
-            pass
+            self._publish(task_id, failure)
+        _unlink(private)
         return task_id
 
 
 # ---------------------------------------------------------------------------
-# The worker daemon — ``python -m repro worker <queue-dir>``
+# The worker loop both backends run
 # ---------------------------------------------------------------------------
+
+def worker_loop(backend: Any, summary: WorkerSummary,
+                max_idle: Optional[float], max_tasks: Optional[int],
+                progress: Optional[ProgressFn],
+                checkpoint_dir: Optional[PathLike],
+                checkpoint_every: Optional[int]) -> WorkerSummary:
+    """Claim a task, execute it under a heartbeat thread, complete it.
+
+    ``backend`` adapts one store (``_QueueWorker``, ``net._TcpWorker``);
+    its ``claim()`` waits before returning ``None``.  ``checkpoint_dir`` /
+    ``checkpoint_every`` override the task's own checkpoint options.
+    ``progress(task_id, result)`` gets the task's
+    :func:`~repro.orchestrator.lease.result_payload` plus the ``status``
+    its store settled it with.
+    """
+    overrides: Dict[str, Any] = {}
+    if checkpoint_dir is not None:
+        overrides["checkpoint_dir"] = str(checkpoint_dir)
+    if checkpoint_every is not None:
+        overrides["checkpoint_every"] = int(checkpoint_every)
+    idle_since = time.monotonic()
+    try:
+        # --max-tasks waits for an undelivered result to be re-sent, or
+        # the finished work would be thrown away (--max-idle still bounds
+        # how long redelivery is tried).
+        while (max_tasks is None or summary.processed < max_tasks
+               or backend.unsent is not None):
+            claimed = backend.claim()
+            if backend.stopped:
+                break
+            if claimed is None:
+                # Time spent unable to reach the store counts as idle.
+                if (max_idle is not None
+                        and time.monotonic() - idle_since >= max_idle):
+                    break
+                continue
+            task_id, task = claimed
+            stop_beat = threading.Event()
+
+            def beat() -> None:
+                while not stop_beat.wait(backend.heartbeat_every):
+                    try:
+                        backend.heartbeat(task_id)
+                    except (OSError, RuntimeError):
+                        return  # the completion that follows finds out
+                    summary.heartbeats += 1
+
+            beater = threading.Thread(target=beat, daemon=True)
+            beater.start()
+            try:
+                outcome = execute_payload(task.get("config", {}), {
+                    **(task.get("options") or {}), **overrides} or None)
+            finally:
+                stop_beat.set()
+                beater.join()
+            status = backend.complete(task_id, outcome)
+            result = dict(lease.result_payload(
+                task_id, task, summary.worker_id,
+                int(task.get("attempt", 0)) + 1, outcome), status=status)
+            if "record" in result:
+                summary.done += 1
+            elif status == "retry":
+                summary.retried += 1
+            else:
+                summary.failed += 1
+            # Only a failure this worker will not see retried is terminal;
+            # the CLI exits nonzero on it.
+            summary.last_task_failed = "error" in result and status != "retry"
+            summary.processed += 1
+            # The idle clock restarts when a task *finishes*: a long task
+            # must never count toward --max-idle.
+            idle_since = time.monotonic()
+            if progress is not None:
+                progress(task_id, result)
+    finally:
+        backend.close()
+    return summary
+
+
+class _QueueWorker:
+    """The queue side of :func:`worker_loop`: a registration file whose
+    mtime is the worker's heartbeat, the ``STOP`` file, and periodic
+    reclaiming of dead workers' leases."""
+
+    unsent = None  # results reach the queue directory or raise
+
+    def __init__(self, queue: FileTaskQueue, summary: WorkerSummary,
+                 poll: float) -> None:
+        self.queue = queue
+        self.summary = summary
+        self.poll = poll
+        self.stopped = False
+        self.heartbeat_every = lease.heartbeat_interval(queue.lease_ttl)
+        self.reclaim_every = max(queue.lease_ttl / 4.0, poll)
+        self.last_beat = self.last_reclaim = float("-inf")
+        self.registration = queue.workers / f"{summary.worker_id}.json"
+        _write_json_atomic(self.registration, {
+            "kind": WORKER_KIND, "id": summary.worker_id,
+            "host": socket.gethostname(), "pid": os.getpid(),
+            "started_at": time.time()})
+
+    def claim(self) -> Optional[Tuple[str, Dict[str, Any]]]:
+        if (self.queue.root / STOP_FILENAME).exists():
+            self.stopped = True
+            return None
+        now = time.monotonic()
+        if now - self.last_beat >= self.heartbeat_every:
+            _touch(self.registration)
+            self.summary.heartbeats += 1
+            self.last_beat = now
+        if now - self.last_reclaim >= self.reclaim_every:
+            self.queue.reclaim_stale()
+            self.last_reclaim = now
+        claimed = self.queue.claim(self.summary.worker_id)
+        if claimed is None:
+            time.sleep(self.poll)
+        return claimed
+
+    def heartbeat(self, task_id: str) -> None:
+        self.queue.touch_lease(task_id, self.summary.worker_id)
+        _touch(self.registration)
+
+    def complete(self, task_id: str, outcome: Dict[str, Any]) -> str:
+        return self.queue.complete(self.summary.worker_id, task_id, outcome)
+
+    def close(self) -> None:
+        _unlink(self.registration)
+
 
 def run_worker(queue_dir: PathLike,
                worker_id: Optional[str] = None,
@@ -533,133 +612,43 @@ def run_worker(queue_dir: PathLike,
                poll: float = DEFAULT_POLL,
                max_idle: Optional[float] = None,
                max_tasks: Optional[int] = None,
-               progress: Optional[Callable[[str, Dict[str, Any]], None]] = None,
+               progress: Optional[ProgressFn] = None,
                checkpoint_dir: Optional[PathLike] = None,
                checkpoint_every: Optional[int] = None,
                ) -> WorkerSummary:
-    """Pull-and-execute loop; returns a :class:`WorkerSummary` (which
-    compares equal to the number of tasks processed).
+    """The ``python -m repro worker <queue-dir>`` daemon: runs
+    :func:`worker_loop` against the queue and returns its summary.
 
-    The worker claims tasks, executes them through the same
-    :func:`~repro.orchestrator.transport.execute_payload` body the process
-    pool uses, heartbeats its lease from a background thread while the
-    simulation runs, and publishes the outcome.  A task that raises is
-    retried (by this or any other worker) until its attempt budget is
-    spent, then published as a failed result.
-
-    Checkpointing: each task's own ``options`` (set by the enqueueing
-    coordinator) apply by default; ``checkpoint_dir`` / ``checkpoint_every``
-    override them for this worker — e.g. to point at a directory that is
-    shared between workers when the coordinator's path is not.  A task
-    resumed from a checkpoint reports ``"resumed_round"`` in its result.
-
-    Exit conditions: a ``STOP`` file in the queue root, ``max_idle``
-    seconds without finding work, or ``max_tasks`` processed.
+    A task that raises is retried (by this or any other worker) until its
+    attempt budget is spent.  The worker exits on a ``STOP`` file in the
+    queue root, after ``max_idle`` seconds without work, or after
+    ``max_tasks`` tasks.
     """
     queue = FileTaskQueue(queue_dir, lease_ttl=lease_ttl)
     queue.ensure_layout()
-    worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    worker_file = queue.workers / f"{worker_id}.json"
-    _write_json_atomic(worker_file, {
-        "kind": WORKER_KIND,
-        "id": worker_id,
-        "host": socket.gethostname(),
-        "pid": os.getpid(),
-        "started_at": time.time(),
-    })
-    heartbeat_every = max(min(lease_ttl / 4.0, 5.0), 0.05)
-    reclaim_every = max(lease_ttl / 4.0, poll)
     summary = WorkerSummary(worker_id)
-    idle_since = time.monotonic()
-    last_beat = last_reclaim = float("-inf")
-    try:
-        while True:
-            if (queue.root / STOP_FILENAME).exists():
-                break
-            now = time.monotonic()
-            if now - last_beat >= heartbeat_every:
-                _touch(worker_file)
-                summary.heartbeats += 1
-                last_beat = now
-            if now - last_reclaim >= reclaim_every:
-                queue.reclaim_stale()
-                last_reclaim = now
-            claimed = queue.claim(worker_id)
-            if claimed is None:
-                if (max_idle is not None
-                        and time.monotonic() - idle_since >= max_idle):
-                    break
-                time.sleep(poll)
-                continue
-            task_id, payload = claimed
+    return worker_loop(_QueueWorker(queue, summary, poll), summary,
+                       max_idle, max_tasks, progress, checkpoint_dir,
+                       checkpoint_every)
 
-            stop_beat = threading.Event()
 
-            def beat() -> None:
-                while not stop_beat.wait(heartbeat_every):
-                    queue.touch_lease(task_id)
-                    _touch(worker_file)
-                    summary.heartbeats += 1
-
-            task_options = dict(payload.get("options") or {})
-            if checkpoint_dir is not None:
-                task_options["checkpoint_dir"] = str(checkpoint_dir)
-            if checkpoint_every is not None:
-                task_options["checkpoint_every"] = int(checkpoint_every)
-
-            beater = threading.Thread(target=beat, daemon=True)
-            beater.start()
-            try:
-                outcome = execute_payload(payload.get("config", {}),
-                                          task_options or None)
-            finally:
-                stop_beat.set()
-                beater.join()
-
-            attempt = int(payload.get("attempt", 0)) + 1
-            budget = _payload_budget(payload)
-            result: Dict[str, Any] = {
-                "kind": RESULT_KIND,
-                "id": task_id,
-                "digest": payload.get("digest", ""),
-                "config": payload.get("config", {}),
-                "elapsed": outcome.get("elapsed", 0.0),
-                "worker": worker_id,
-                "attempt": attempt,
-            }
-            if "resumed_round" in outcome:
-                result["resumed_round"] = outcome["resumed_round"]
-            if "record" in outcome:
-                result["record"] = outcome["record"]
-                queue.complete(task_id, result)
-                summary.done += 1
-                summary.last_task_failed = False
-            elif budget is not None and attempt >= budget:
-                result["error"] = outcome.get("error", "unknown error")
-                queue.complete(task_id, result)
-                summary.failed += 1
-                summary.last_task_failed = True
-            else:
-                payload["attempt"] = attempt
-                queue.release_for_retry(task_id, payload)
-                result["retrying"] = True
-                result["error"] = outcome.get("error", "unknown error")
-                summary.retried += 1
-                summary.last_task_failed = False
-            summary.processed += 1
-            # The idle clock starts when the task *finishes* — a long task
-            # must not count toward --max-idle.
-            idle_since = time.monotonic()
-            if progress is not None:
-                progress(task_id, result)
-            if max_tasks is not None and summary.processed >= max_tasks:
-                break
-    finally:
-        try:
-            worker_file.unlink()
-        except OSError:
-            pass
-    return summary
+def await_workers(transport: Any, live_workers: Callable[[], List[str]],
+                  where: str, command: str) -> None:
+    """Wait up to ``transport.worker_timeout`` seconds for
+    ``transport.workers_expected`` live workers, so a sweep against an
+    empty backend fails fast instead of hanging silently."""
+    deadline = time.monotonic() + transport.worker_timeout
+    while True:
+        alive = live_workers()
+        if len(alive) >= transport.workers_expected:
+            return
+        if time.monotonic() >= deadline:
+            raise RuntimeError(
+                f"only {len(alive)} of {transport.workers_expected} "
+                f"expected worker(s) {where} within "
+                f"{transport.worker_timeout:.0f}s — start them with "
+                f"'{command}'")
+        time.sleep(min(transport.poll, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +679,7 @@ class QueueTransport:
         self.queue_dir = Path(queue_dir)
         self.lease_ttl = float(lease_ttl)
         self.poll = float(poll)
-        self.max_attempts = _budget(max_attempts)
+        self.max_attempts = max_attempts
         self.workers_expected = int(workers_expected)
         self.worker_timeout = float(worker_timeout)
         self.timeout = timeout
@@ -701,7 +690,9 @@ class QueueTransport:
         queue = FileTaskQueue(self.queue_dir, lease_ttl=self.lease_ttl)
         queue.ensure_layout()
         if self.workers_expected > 0:
-            self._await_workers(queue)
+            await_workers(self, queue.live_workers,
+                          f"registered under {queue.root}",
+                          f"python -m repro worker {queue.root}")
         pending: Dict[str, int] = {}
         for index, config, digest in items:
             task_id = queue.task_id(index, digest)
@@ -763,17 +754,3 @@ class QueueTransport:
                     f"(live workers: {queue.live_workers() or 'none'})")
             if not progressed:
                 time.sleep(self.poll)
-
-    def _await_workers(self, queue: FileTaskQueue) -> None:
-        deadline = time.monotonic() + self.worker_timeout
-        while True:
-            alive = queue.live_workers()
-            if len(alive) >= self.workers_expected:
-                return
-            if time.monotonic() >= deadline:
-                raise RuntimeError(
-                    f"only {len(alive)} of {self.workers_expected} expected "
-                    f"worker(s) registered under {queue.root} within "
-                    f"{self.worker_timeout:.0f}s — start them with "
-                    f"'python -m repro worker {queue.root}'")
-            time.sleep(min(self.poll, 0.5))

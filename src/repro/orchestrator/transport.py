@@ -4,15 +4,17 @@
 from the ledger and the result cache first; whatever remains is handed to a
 *transport*, an object with one method::
 
-    run(items) -> iterator of (index, payload)
+    run(items, options) -> iterator of (index, payload)
 
 ``items`` is a sequence of ``(index, config, digest)`` triples in spec
-order; the transport may yield results in any completion order — the pool
-reassembles spec order from the indices.  A payload is the JSON-safe
-outcome dictionary produced by :func:`execute_payload` (either a
-``"record"`` or an ``"error"`` key, plus ``"elapsed"``), which is exactly
-what queue workers write to result files and what pool workers return over
-the process boundary.
+order; ``options`` is ``None`` or the execution options
+(``checkpoint_every`` / ``checkpoint_dir``) that every shipped transport
+hands to each run.  The transport may yield results in any completion
+order — the pool reassembles spec order from the indices.  A payload is
+the JSON-safe outcome dictionary produced by :func:`execute_payload`
+(either a ``"record"`` or an ``"error"`` key, plus ``"elapsed"``), which
+is exactly what queue workers write to result files and what pool workers
+return over the process boundary.
 
 Four backends ship with the orchestrator:
 
@@ -40,6 +42,9 @@ import multiprocessing
 import time
 import traceback
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
+
+from ..io import records_to_dicts
+from ..session import Session
 
 __all__ = [
     "TRANSPORTS",
@@ -70,9 +75,6 @@ def execute_payload(config_dict: Dict[str, Any],
     resumed run reports the round it continued from as ``"resumed_round"``
     in the payload (ledger records ignore the extra key).
     """
-    from ..io import records_to_dicts
-    from ..session import Session
-
     options = options or {}
     started = time.perf_counter()
     try:
@@ -121,9 +123,6 @@ class InlineTransport:
     def run(self, items: Sequence[TransportItem],
             options: Optional[Dict[str, Any]] = None
             ) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        from ..io import records_to_dicts
-        from ..session import Session
-
         options = options or {}
         for index, config, _digest in items:
             started = time.perf_counter()

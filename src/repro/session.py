@@ -31,8 +31,9 @@ worker (on any code version) finds the file.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple, Union
 
 from .state import (
     CheckpointContext,
@@ -43,8 +44,23 @@ from .state import (
 
 if TYPE_CHECKING:
     from .analysis.experiments import ExperimentRecord
+    from .grid.metrics import ShapeMetrics
+    from .grid.shape import Shape
 
 __all__ = ["Session"]
+
+
+@lru_cache(maxsize=128)
+def _shape_and_metrics(family: str, size: int,
+                       seed: int) -> Tuple["Shape", "ShapeMetrics"]:
+    """Shape construction and metrics are pure and shared by every algorithm
+    of a sweep on the same (family, size, seed) — build them once per
+    process, like the old serial table1 loop did."""
+    from .grid.generators import make_shape
+    from .grid.metrics import compute_metrics
+
+    shape = make_shape(family, size, seed=seed)
+    return shape, compute_metrics(shape)
 
 
 class Session:
@@ -133,7 +149,6 @@ class Session:
     def execute(self) -> "ExperimentRecord":
         """Run (or continue) the config; returns the ExperimentRecord."""
         from .analysis.experiments import run_experiment
-        from .orchestrator.pool import _shape_and_metrics
 
         config = self.config
         context: Optional[CheckpointContext] = None

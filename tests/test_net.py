@@ -444,9 +444,9 @@ class TestTcpTransport:
         holder = {}
 
         def worker():
-            holder["processed"] = run_tcp_worker(address, worker_id="w0",
-                                                 poll=0.02, max_tasks=1,
-                                                 max_idle=30)
+            holder["summary"] = run_tcp_worker(address, worker_id="w0",
+                                               poll=0.02, max_tasks=1,
+                                               max_idle=30)
 
         thread = threading.Thread(target=worker, daemon=True)
         thread.start()
@@ -462,7 +462,7 @@ class TestTcpTransport:
         try:
             thread.join(timeout=60)
             assert not thread.is_alive()
-            assert holder["processed"] == 1
+            assert holder["summary"].processed == 1
             # The record landed on the restarted coordinator's board.
             (payload,) = second.board.collect([task_id])
             assert payload["record"]["rounds"] == 5

@@ -15,12 +15,12 @@ from repro.orchestrator import (
     RunLedger,
     SweepSpec,
     config_digest,
-    execute_config,
     resolve_transport,
     run_sweep,
     scaling_spec,
     table1_spec,
 )
+from repro.session import Session
 
 CONFIG = RunConfig(algorithm="dle", family="hexagon", size=2, seed=0)
 
@@ -115,7 +115,7 @@ class TestResultCache:
     def test_put_get_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         assert cache.get(CONFIG) is None
-        record = execute_config(CONFIG)
+        record = Session.run(CONFIG).record
         cache.put(CONFIG, record)
         assert CONFIG in cache
         reloaded = cache.get(CONFIG)
@@ -124,18 +124,18 @@ class TestResultCache:
 
     def test_mutated_config_misses(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cache.put(CONFIG, execute_config(CONFIG))
+        cache.put(CONFIG, Session.run(CONFIG).record)
         assert RunConfig("dle", "hexagon", 2, 1) not in cache
         assert cache.get(RunConfig("dle", "hexagon", 2, 1)) is None
 
     def test_code_version_invalidates(self, tmp_path):
         old = ResultCache(tmp_path / "cache", code_version="v1")
-        old.put(CONFIG, execute_config(CONFIG))
+        old.put(CONFIG, Session.run(CONFIG).record)
         assert CONFIG not in ResultCache(tmp_path / "cache", code_version="v2")
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cache.put(CONFIG, execute_config(CONFIG))
+        cache.put(CONFIG, Session.run(CONFIG).record)
         cache.path_for(CONFIG).write_text("{not json")
         assert cache.get(CONFIG) is None
 
@@ -144,16 +144,16 @@ class TestResultCache:
         # process overwrites the entry in a tight loop, every successful
         # read must be the complete, correct record — never a torn file.
         cache = ResultCache(tmp_path / "cache", code_version="race")
-        record = execute_config(CONFIG)
+        record = Session.run(CONFIG).record
         expected = records_to_dicts([record])
         cache.put(CONFIG, record)
         script = (
             "import sys\n"
-            "from repro.orchestrator import ResultCache, RunConfig,"
-            " execute_config\n"
+            "from repro.orchestrator import ResultCache, RunConfig\n"
+            "from repro.session import Session\n"
             "config = RunConfig('dle', 'hexagon', 2, 0)\n"
             "cache = ResultCache(sys.argv[1], code_version='race')\n"
-            "record = execute_config(config)\n"
+            "record = Session.run(config).record\n"
             "for _ in range(200):\n"
             "    cache.put(config, record)\n"
         )
@@ -186,7 +186,7 @@ class TestResultCache:
 class TestRunLedger:
     def test_jsonl_record_round_trip(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
-        record = execute_config(CONFIG)
+        record = Session.run(CONFIG).record
         ledger.append("d1", CONFIG, "done",
                       record_dict=records_to_dicts([record])[0], elapsed=0.5)
         ledger.append("d2", CONFIG, "failed", error="boom")
@@ -197,8 +197,9 @@ class TestRunLedger:
     def test_tolerates_truncated_final_line(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = RunLedger(path)
+        record = Session.run(CONFIG).record
         ledger.append("d1", CONFIG, "done",
-                      record_dict=records_to_dicts([execute_config(CONFIG)])[0])
+                      record_dict=records_to_dicts([record])[0])
         with path.open("a") as handle:
             handle.write('{"kind": "sweep-run", "digest": "d2", "stat')
         assert ledger.completed_digests() == {"d1"}
@@ -209,7 +210,7 @@ class TestRunLedger:
 
     def test_records_deduplicated_by_digest(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
-        record_dict = records_to_dicts([execute_config(CONFIG)])[0]
+        record_dict = records_to_dicts([Session.run(CONFIG).record])[0]
         # A config completed in one sweep and cache-served in a later one
         # appears twice in the ledger but is one measurement.
         ledger.append("d1", CONFIG, "done", record_dict=record_dict)
@@ -223,7 +224,7 @@ class TestRunLedger:
         # first was silently dropped.
         path = tmp_path / "ledger.jsonl"
         ledger = RunLedger(path)
-        record_dict = records_to_dicts([execute_config(CONFIG)])[0]
+        record_dict = records_to_dicts([Session.run(CONFIG).record])[0]
         ledger.append("d1", CONFIG, "done", record_dict=record_dict)
         with path.open("a") as handle:
             for _ in range(2):  # externally-written lines without a digest
@@ -302,7 +303,7 @@ class TestRunSweep:
         spec = SweepSpec(algorithms=["dle", "erosion"], families=["hexagon"],
                          sizes=[2], seeds=[0, 1])
         swept = run_sweep(spec, jobs=1).records
-        direct = [execute_config(c) for c in spec.expand()]
+        direct = [Session.run(c).record for c in spec.expand()]
         assert records_to_dicts(swept) == records_to_dicts(direct)
 
     def test_parallel_matches_serial(self):
@@ -508,8 +509,8 @@ class TestRunSweep:
     def test_scheduler_order_changes_the_run(self):
         base = RunConfig("dle", "hexagon", 3, 0)
         reversed_ = RunConfig("dle", "hexagon", 3, 0, scheduler="reversed")
-        a = execute_config(base)
-        b = execute_config(reversed_)
+        a = Session.run(base).record
+        b = Session.run(reversed_).record
         assert a.succeeded and b.succeeded
         # Same experiment, different adversary: the records must not be
         # conflated by the cache.

@@ -8,6 +8,7 @@ entry point itself.
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -75,9 +76,9 @@ class TestFileTaskQueue:
         task_id, status = _enqueue(queue, CONFIG)
         assert status == "enqueued"
         assert _enqueue(queue, CONFIG)[1] == "pending"  # already queued
-        queue.claim()
+        queue.claim("w0")
         assert _enqueue(queue, CONFIG)[1] == "pending"  # leased
-        queue.complete(task_id, {"record": {"fake": True}})
+        queue.complete("w0", task_id, {"record": {"fake": True}})
         assert _enqueue(queue, CONFIG)[1] == "result-exists"
         # A failed result is not a cache: it is deleted and re-enqueued.
         queue.result_path(task_id).write_text(
@@ -134,10 +135,10 @@ class TestFileTaskQueue:
     def test_failure_never_overwrites_a_successful_result(self, tmp_path):
         queue = FileTaskQueue(tmp_path / "q")
         task_id, _ = _enqueue(queue, CONFIG)
-        queue.claim()
-        queue.complete(task_id, {"record": {"rounds": 7}})
+        queue.claim("w0")
+        queue.complete("w0", task_id, {"record": {"rounds": 7}})
         # A late reclaimer (or losing duplicate run) reports a failure...
-        queue.complete(task_id, {"error": "lease expired"})
+        queue.complete("w0", task_id, {"error": "lease expired"})
         payload = json.loads(queue.result_path(task_id).read_text())
         assert payload["record"] == {"rounds": 7} and "error" not in payload
 
@@ -208,9 +209,10 @@ class TestQueueGc:
     def test_gc_prunes_old_results_workers_and_stop(self, tmp_path):
         queue = FileTaskQueue(tmp_path / "q")
         queue.ensure_layout()
-        queue.complete("000001-old", {"record": {"x": 1}})
-        queue.complete("000002-failed", {"error": "boom", "attempt": 3})
-        queue.complete("000003-new", {"record": {"x": 2}})
+        queue.complete("w0", "000001-old", {"record": {"x": 1}})
+        queue.result_path("000002-failed").write_text(
+            json.dumps({"kind": "sweep-task-result", "error": "boom"}))
+        queue.complete("w0", "000003-new", {"record": {"x": 2}})
         (queue.workers / "dead.json").write_text("{}")
         (queue.root / "STOP").write_text("")
         fresh = queue.result_path("000003-new")
@@ -240,7 +242,7 @@ class TestQueueGc:
     def test_cli_queue_gc(self, tmp_path, capsys):
         queue = FileTaskQueue(tmp_path / "q")
         queue.ensure_layout()
-        queue.complete("000001-x", {"record": {}})
+        queue.complete("w0", "000001-x", {"record": {}})
         old = time.time() - 7200
         os.utime(queue.result_path("000001-x"), (old, old))
         out = tmp_path / "gc.json"
@@ -263,8 +265,8 @@ class TestWorker:
         for index, size in enumerate([2, 3]):
             config = RunConfig("dle", "hexagon", size, 0)
             ids.append(_enqueue(queue, config, index=index)[0])
-        processed = run_worker(tmp_path / "q", poll=0.02, max_idle=0.2)
-        assert processed == 2
+        summary = run_worker(tmp_path / "q", poll=0.02, max_idle=0.2)
+        assert summary.processed == 2
         for task_id in ids:
             payload = json.loads(queue.result_path(task_id).read_text())
             assert payload["record"]["rounds"] > 0
@@ -277,7 +279,7 @@ class TestWorker:
         queue.ensure_layout()
         (queue.root / "STOP").touch()
         _enqueue(queue, CONFIG)
-        assert run_worker(tmp_path / "q", poll=0.02) == 0
+        assert run_worker(tmp_path / "q", poll=0.02).processed == 0
         assert queue.task_path(queue.task_id(0, _digest(CONFIG))).exists()
 
     def test_failing_task_respects_retry_budget(self, tmp_path, monkeypatch):
@@ -291,8 +293,8 @@ class TestWorker:
         queue = FileTaskQueue(tmp_path / "q")
         config = RunConfig("bad", "hexagon", 2, 0)
         task_id, _ = _enqueue(queue, config, max_attempts=3)
-        processed = run_worker(tmp_path / "q", poll=0.02, max_idle=0.2)
-        assert processed == 3  # two retries + the terminal failure
+        summary = run_worker(tmp_path / "q", poll=0.02, max_idle=0.2)
+        assert summary.processed == 3  # two retries + the terminal failure
         assert calls["n"] == 3
         payload = json.loads(queue.result_path(task_id).read_text())
         assert "synthetic worker failure" in payload["error"]
@@ -312,11 +314,54 @@ class TestWorker:
         config = RunConfig("slow", "hexagon", 2, 0)
         _enqueue(queue, config, index=0)
         started = time.monotonic()
-        processed = run_worker(tmp_path / "q", poll=0.02, max_idle=0.3)
+        summary = run_worker(tmp_path / "q", poll=0.02, max_idle=0.3)
         # max_idle (0.3s) < task time (0.5s): the worker must still hang
         # around for a full idle window *after* finishing the task.
-        assert processed == 1
+        assert summary.processed == 1
         assert time.monotonic() - started >= 0.8
+
+    def test_contended_retries_settle_every_task(self, tmp_path,
+                                                  monkeypatch):
+        # More workers than cores race for tasks that fail twice before
+        # succeeding.  A retry must re-enqueue its task without touching a
+        # lease another worker may take the same instant, so every task
+        # ends in one success after exactly three runs, and nothing is
+        # left in tasks/ or leases/.
+        runs = {}
+        runs_lock = threading.Lock()
+
+        def flaky(shape, seed, order="random", engine="sweep"):
+            with runs_lock:
+                runs[seed] = runs.get(seed, 0) + 1
+                if runs[seed] <= 2:
+                    raise RuntimeError("flaky")
+            return {"rounds": 1, "succeeded": True}
+
+        monkeypatch.setitem(experiments.ALGORITHMS, "flaky", flaky)
+        queue = FileTaskQueue(tmp_path / "q")
+        ids = [_enqueue(queue, RunConfig("flaky", "hexagon", 1, seed),
+                        index=seed, max_attempts=3)[0] for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [_start_worker(tmp_path / "q", worker_id=f"w{i}",
+                                     poll=0.001) for i in range(4)]
+            deadline = time.monotonic() + 60
+            while (time.monotonic() < deadline and not all(
+                    queue.result_path(t).exists() for t in ids)):
+                time.sleep(0.01)
+            (queue.root / "STOP").touch()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for task_id in ids:
+            assert "record" in json.loads(
+                queue.result_path(task_id).read_text())
+        assert not any(queue.tasks.iterdir())
+        assert not any(queue.leases.iterdir())
+        assert runs == {seed: 3 for seed in range(8)}
 
     def test_worker_registration_is_visible(self, tmp_path):
         queue = FileTaskQueue(tmp_path / "q")

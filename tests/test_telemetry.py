@@ -25,7 +25,7 @@ from repro.orchestrator import (
     run_worker,
 )
 from repro.orchestrator.net import CoordinatorServer, TaskBoard, fetch_status
-from repro.orchestrator.pool import execute_config
+from repro.session import Session
 from repro.telemetry import (
     EventLog,
     Histogram,
@@ -184,7 +184,7 @@ class CountingRegistry(MetricsRegistry):
 class TestOverhead:
     def test_disabled_telemetry_costs_under_two_percent(self):
         from repro.analysis.bench import calibrate
-        from repro.orchestrator.pool import _shape_and_metrics
+        from repro.session import _shape_and_metrics
 
         config = RunConfig(algorithm="dle", family="hexagon", size=16,
                            seed=0)
@@ -193,7 +193,7 @@ class TestOverhead:
         counting = CountingRegistry()
         with use_registry(counting):
             started = time.perf_counter()
-            execute_config(config)
+            Session.run(config)
             run_seconds = time.perf_counter() - started
 
         # Instrumentation is at run/op granularity, never per activation:
@@ -494,11 +494,11 @@ class TestStatusCli:
 
 class TestWorkerSummary:
     def test_compares_equal_to_processed_count(self):
-        summary = WorkerSummary("w")
-        summary.processed = 3
-        assert summary == 3
-        assert int(summary) == 3
-        assert summary != 2
+        # Summaries compare field by field; callers read ``.processed``.
+        summary = WorkerSummary("w", processed=3)
+        assert summary == WorkerSummary("w", processed=3)
+        assert summary != WorkerSummary("w", processed=2)
+        assert summary != 3
 
     def test_describe_mentions_outcomes(self):
         summary = WorkerSummary("w1")
@@ -518,7 +518,7 @@ class TestWorkerSummary:
         queue.enqueue("000000-" + _digest(CONFIG), CONFIG.to_dict(),
                       _digest(CONFIG))
         summary = run_worker(tmp_path / "q", poll=0.02, max_tasks=1)
-        assert summary == 1
+        assert summary.processed == 1
         assert summary.done == 1
         assert summary.failed == 0
         assert summary.last_task_failed is False
