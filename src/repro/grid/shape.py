@@ -277,6 +277,7 @@ class Shape:
         self._rings: Optional[List[VirtualRing]] = None
         self._connected: Optional[bool] = None
         self._area_points: Optional[FrozenSet[Point]] = None
+        self._outer_boundary: Optional[FrozenSet[Point]] = None
 
     # -- basic protocol ----------------------------------------------------
 
@@ -449,12 +450,17 @@ class Shape:
     def outer_boundary(self) -> FrozenSet[Point]:
         """Points of the shape adjacent to the outer face.  Every empty
         point lies in a hole or in the outer face, so these are the points
-        with a neighbour outside the area."""
-        area = self.area_points
-        return frozenset(
-            p for p in self._points
-            if not area.issuperset(neighbors_interned(p))
-        )
+        with a neighbour outside the area.
+
+        Memoised like :attr:`area_points`: ``L_out``, ``L_max`` and the
+        OBD check of every cell on a cached shape read it."""
+        if self._outer_boundary is None:
+            area = self.area_points
+            self._outer_boundary = frozenset(
+                p for p in self._points
+                if not area.issuperset(neighbors_interned(p))
+            )
+        return self._outer_boundary
 
     def inner_boundary(self, hole_index: int) -> FrozenSet[Point]:
         """Points of the shape adjacent to the given hole: the occupied

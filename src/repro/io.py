@@ -17,6 +17,7 @@ only).
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Union
 
@@ -137,13 +138,18 @@ def records_to_dicts(records: Sequence[ExperimentRecord]) -> List[Dict[str, Any]
 
 
 def records_from_dicts(data: Iterable[Dict[str, Any]]) -> List[ExperimentRecord]:
-    """Rebuild experiment records from :func:`records_to_dicts` output."""
+    """Rebuild experiment records from :func:`records_to_dicts` output.
+
+    The algorithm and family names and the ``details`` keys are interned:
+    parsed JSON gives every record its own copy of each string, which is
+    about a third of the memory a list of small records holds.
+    """
     records = []
     for entry in data:
         metrics = entry["metrics"]
         records.append(ExperimentRecord(
-            algorithm=entry["algorithm"],
-            family=entry["family"],
+            algorithm=sys.intern(entry["algorithm"]),
+            family=sys.intern(entry["family"]),
             size=int(entry["size"]),
             seed=int(entry["seed"]),
             rounds=int(entry["rounds"]),
@@ -158,7 +164,8 @@ def records_from_dicts(data: Iterable[Dict[str, Any]]) -> List[ExperimentRecord]
                 l_max=metrics["L_max"],
                 num_holes=metrics["holes"],
             ),
-            details=dict(entry.get("details", {})),
+            details={sys.intern(key): value
+                     for key, value in entry.get("details", {}).items()},
         ))
     return records
 

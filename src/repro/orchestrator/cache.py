@@ -1,35 +1,68 @@
-"""On-disk content-addressed cache of experiment results.
+"""Content-addressed cache of experiment results, kept as one append-only log.
 
 Every run is a pure function of its :class:`~repro.orchestrator.spec.RunConfig`
 and the code that executes it, so results can be cached under a digest of
 exactly those two inputs: ``sha256(canonical-json(config) + code version)``.
-A warm cache turns a repeated sweep into a directory scan — re-generating a
+A warm cache turns a repeated sweep into index lookups — re-generating a
 table after editing only its formatting costs no simulation time — while a
 version bump (or an explicit ``code_version`` override) invalidates every
 entry at once without deleting anything.
 
-Layout: ``<root>/<digest[:2]>/<digest>.json``, one JSON envelope per entry
-(the two-character shard keeps directories small for multi-thousand-config
-sweeps).  Entries are written atomically (temp file + ``os.replace``) so a
-killed sweep never leaves a truncated entry behind; unreadable entries are
-treated as misses.
+**Layout.**  ``<root>/cache.jsonl``, one JSON envelope per line with the
+digest first, so every entry line starts ``{"digest":"<64 hex digits>",``
+and then carries ``kind``, ``code``, ``config`` and ``record``.  Entries
+are appended by :func:`~repro.orchestrator.fsutil.append_line`, the helper
+the run ledger shares, so sweeps sharing a root append safely, as ledgers
+do.  A digest can appear more than once (two sweeps raced to the same
+config, or a corrupt entry was recomputed); its latest line wins.
+
+**Index.**  One scan at the first :meth:`ResultCache.get` maps each digest
+to the byte offset of its line.  The scan reads the digest at its fixed
+offset and parses no JSON, so a small sweep against a large shared cache
+pays one read of the file, not one parse per entry.  The index holds
+offsets, never records.  A miss re-scans only the bytes appended since the
+last scan, which finds entries another sweep has appended meanwhile.  Only
+lines that end in ``\\n`` are indexed.  A lookup parses its one line and
+checks ``kind`` and ``digest``; anything that fails the check is a miss.
+
+**Durability.**  Entries are not ``fsync``'d.  The cache memoises a pure
+function, so an entry lost or torn by a crash costs one recompute; the run
+ledger (:mod:`~repro.orchestrator.store`) stays the durable record.  By
+the torn-tail rule of ``append_line``, a torn final line costs exactly
+that one entry: the next append starts a new line.
+
+Entries of the earlier file-per-entry layout (``<root>/ab/<digest>.json``)
+are not read; a root that holds only those serves no hits.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from .. import __version__
 from ..telemetry import counter as _metric
-from .fsutil import write_json_atomic
+from .fsutil import append_line
 from .spec import RunConfig
+
+if TYPE_CHECKING:
+    from ..analysis.experiments import ExperimentRecord
 
 __all__ = ["config_digest", "default_code_version", "ResultCache"]
 
 PathLike = Union[str, Path]
+
+#: The log's file name under the cache root.
+LOG_NAME = "cache.jsonl"
+#: The ``kind`` of every cache envelope.
+ENTRY_KIND = "sweep-cache-entry"
+
+#: Every entry line starts with these bytes, then its 64 hex digits.
+_PREFIX = b'{"digest":"'
+_DIGEST_END = len(_PREFIX) + 64
 
 
 def default_code_version() -> str:
@@ -49,9 +82,15 @@ class ResultCache:
 
     def __init__(self, root: PathLike, code_version: Optional[str] = None) -> None:
         self.root = Path(root)
+        #: The append-only log every entry lives in.
+        self.path = self.root / LOG_NAME
         self.code_version = code_version or default_code_version()
         self.hits = 0
         self.misses = 0
+        #: digest -> byte offset of its latest complete line in the log.
+        self._index: Dict[str, int] = {}
+        #: How many bytes of the log the index covers.
+        self._scanned = 0
 
     # -- addressing ---------------------------------------------------------
 
@@ -59,29 +98,65 @@ class ResultCache:
         """The digest this cache files ``config`` under."""
         return config_digest(config, self.code_version)
 
-    def path_for(self, config: RunConfig) -> Path:
-        """Where ``config``'s result lives (whether or not it exists yet)."""
-        digest = self.digest(config)
-        return self.root / digest[:2] / f"{digest}.json"
+    def _scan(self) -> None:
+        """Index the complete lines appended since the last scan."""
+        offset = self._scanned
+        try:
+            if os.stat(self.path).st_size <= offset:
+                return
+            with open(self.path, "rb") as handle:
+                handle.seek(offset)
+                for line in handle:
+                    if not line.endswith(b"\n"):
+                        break  # torn or still being written: not yet whole
+                    if (line.startswith(_PREFIX)
+                            and line[_DIGEST_END:_DIGEST_END + 1] == b'"'):
+                        digest = line[len(_PREFIX):_DIGEST_END]
+                        self._index[digest.decode("latin-1")] = offset
+                    offset += len(line)
+        except OSError:
+            pass  # no log yet, or it went away mid-scan
+        self._scanned = offset
+
+    def _entry(self, digest: str) -> Dict[str, Any]:
+        """The envelope stored under ``digest``.
+
+        Raises ``KeyError`` when no line is indexed for it, and
+        ``OSError``, ``ValueError`` or ``KeyError`` when the line cannot be
+        read, does not parse, or is not a cache entry for ``digest``.
+        """
+        offset = self._index.get(digest)
+        if offset is None:
+            self._scan()
+            offset = self._index[digest]
+        with open(self.path, "rb") as handle:
+            handle.seek(offset)
+            envelope = json.loads(handle.readline())
+        if (not isinstance(envelope, dict)
+                or envelope.get("kind") != ENTRY_KIND
+                or envelope.get("digest") != digest):
+            raise ValueError("not a cache entry for this digest")
+        return envelope
 
     # -- lookup -------------------------------------------------------------
 
     def __contains__(self, config: RunConfig) -> bool:
-        return self.path_for(config).is_file()
+        try:
+            self._entry(self.digest(config))
+        except (OSError, ValueError, KeyError):
+            return False
+        return True
 
-    def get(self, config: RunConfig):
+    def get(self, config: RunConfig) -> Optional["ExperimentRecord"]:
         """The cached record for ``config``, or ``None`` on a miss.
 
         Corrupt or mismatched entries count as misses: the sweep simply
-        re-runs the config and overwrites them.
+        re-runs the config and appends a fresh entry, which supersedes them.
         """
         from ..io import records_from_dicts
 
-        path = self.path_for(config)
         try:
-            envelope = json.loads(path.read_text())
-            if envelope.get("kind") != "sweep-cache-entry":
-                raise ValueError("not a cache entry")
+            envelope = self._entry(self.digest(config))
             record = records_from_dicts([envelope["record"]])[0]
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
@@ -91,35 +166,45 @@ class ResultCache:
         _metric("cache.hits").inc()
         return record
 
-    def put(self, config: RunConfig, record) -> Path:
-        """Store ``record`` under ``config``'s digest; returns the path."""
-        from ..io import records_to_dicts
+    def put(self, config: RunConfig,
+            record: Union["ExperimentRecord", Dict[str, Any]],
+            digest: Optional[str] = None) -> None:
+        """Append ``record`` under ``config``'s digest.
 
-        path = self.path_for(config)
-        envelope: Dict[str, Any] = {
-            "kind": "sweep-cache-entry",
-            "digest": self.digest(config),
-            "code": self.code_version,
-            "config": config.to_dict(),
-            "record": records_to_dicts([record])[0],
-        }
-        # Atomic and durable (temp file + fsync + os.replace): on a shared
-        # filesystem another machine may read the entry the moment it
-        # appears.
-        if path.is_file():
-            # A concurrent writer beat us to this digest; the replace below
-            # is still safe (both wrote the same pure-function result).
+        ``record`` is an :class:`ExperimentRecord` or its :mod:`repro.io`
+        dictionary form.  Callers that already hold the dictionary and
+        ``digest`` (as :func:`~repro.orchestrator.pool.run_sweep` does)
+        spare the cache re-encoding the record and re-hashing the config.
+        """
+        if digest is None:
+            digest = self.digest(config)
+        if not isinstance(record, dict):
+            from ..io import records_to_dicts
+
+            record = records_to_dicts([record])[0]
+        envelope = {"digest": digest, "kind": ENTRY_KIND,
+                    "code": self.code_version, "config": config.to_dict(),
+                    "record": record}
+        line = (json.dumps(envelope, separators=(",", ":")) + "\n").encode(
+            "utf-8")
+        if digest in self._index:
+            # Another sweep (or this one) already stored this pure-function
+            # result; the later line supersedes it with the same record.
             _metric("cache.races").inc()
         _metric("cache.puts").inc()
-        write_json_atomic(path, envelope)
-        return path
+        try:
+            offset = append_line(self.path, line)
+        except FileNotFoundError:
+            self.root.mkdir(parents=True, exist_ok=True)
+            offset = append_line(self.path, line)
+        self._index[digest] = offset
 
     # -- bookkeeping --------------------------------------------------------
 
     def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("??/*.json"))
+        """Distinct digests with an entry line in the log."""
+        self._scan()
+        return len(self._index)
 
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters for this cache object's lifetime."""

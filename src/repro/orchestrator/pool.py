@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..analysis.experiments import ExperimentRecord
 from ..telemetry import counter as _metric, get_event_log
-from .cache import ResultCache
+from .cache import ResultCache, config_digest, default_code_version
 from .spec import RunConfig, SweepSpec
 from .store import RunLedger
 from .transport import resolve_transport
@@ -155,10 +155,14 @@ class SweepResult:
 
 def _result_from_payload(config: RunConfig,
                          payload: Dict[str, Any]) -> RunResult:
-    from ..io import records_from_dicts
-
     if "record" in payload:
-        record = records_from_dicts([payload["record"]])[0]
+        # The inline transport hands over the live record; payloads that
+        # crossed a process or the network carry its dictionary form only.
+        record = payload.get("live_record")
+        if record is None:
+            from ..io import records_from_dicts
+
+            record = records_from_dicts([payload["record"]])[0]
         return RunResult(config=config, record=record,
                          elapsed=payload.get("elapsed", 0.0))
     return RunResult(config=config, error=payload.get("error", "unknown error"),
@@ -225,14 +229,10 @@ def run_sweep(spec: Union[SweepSpec, Sequence[RunConfig]],
         raise ValueError("resume=True requires a ledger")
     transport = resolve_transport(transport, jobs=jobs)
 
-    code_version = cache.code_version if cache is not None else None
-    if code_version is None:
-        from .cache import default_code_version
-        code_version = default_code_version()
-
-    from .cache import config_digest
-    digests = {config: config_digest(config, code_version)
-               for config in configs}
+    code_version = (cache.code_version if cache is not None
+                    else default_code_version())
+    #: Each config's digest, by spec position.
+    digests = [config_digest(config, code_version) for config in configs]
 
     started = time.perf_counter()
     total = len(configs)
@@ -241,11 +241,15 @@ def run_sweep(spec: Union[SweepSpec, Sequence[RunConfig]],
     slots: List[Optional[RunResult]] = [None] * total
     #: Per-slot (result, write_to_ledger) staging for the in-order flush.
     ledger_slots: List[Optional[bool]] = [None] * total
+    #: Executed records' dictionary form, held until their ledger line is
+    #: written and dropped then, so the coordinator's memory stays flat.
+    record_dicts: List[Optional[Dict[str, Any]]] = [None] * total
     flushed = 0
     done_count = 0
-    prior_failures = ledger.failures() if ledger is not None else {}
-    failed_attempts = {digest: entry["attempts"]
-                       for digest, entry in prior_failures.items()}
+    # The ledger's earlier failures are read only when needed: for the
+    # resume retry cap, or when this sweep writes its first failed line.
+    prior_failures = ledger.failures() if resume else None
+    failed_attempts: Optional[Dict[str, int]] = None
 
     def flush_ledger() -> None:
         """Append finished slots to the ledger in spec order.
@@ -256,32 +260,43 @@ def run_sweep(spec: Union[SweepSpec, Sequence[RunConfig]],
         result cache (which is written immediately, per completion) to
         make resumes after a coordinator crash cheap.
         """
-        nonlocal flushed
+        nonlocal flushed, failed_attempts
         while flushed < total and ledger_slots[flushed] is not None:
             result = slots[flushed]
             if ledger_slots[flushed] and ledger is not None:
-                config = result.config
+                config, digest = result.config, digests[flushed]
                 if result.ok:
-                    ledger.append(digests[config], config, "done",
-                                  record_dict=_record_dict(result.record),
+                    record_dict = record_dicts[flushed]
+                    record_dicts[flushed] = None
+                    if record_dict is None:
+                        record_dict = _record_dict(result.record)
+                    ledger.append(digest, config, "done",
+                                  record_dict=record_dict,
                                   elapsed=result.elapsed)
                 else:
-                    attempts = (failed_attempts.get(digests[config], 0)
-                                + result.attempts)
-                    failed_attempts[digests[config]] = attempts
-                    ledger.append(digests[config], config, "failed",
+                    if failed_attempts is None:
+                        failures = (prior_failures if prior_failures is not None
+                                    else ledger.failures())
+                        failed_attempts = {key: entry["attempts"]
+                                           for key, entry in failures.items()}
+                    attempts = failed_attempts.get(digest, 0) + result.attempts
+                    failed_attempts[digest] = attempts
+                    ledger.append(digest, config, "failed",
                                   error=result.error, elapsed=result.elapsed,
                                   attempts=attempts)
             flushed += 1
 
     def finish(index: int, result: RunResult,
+               record_dict: Optional[Dict[str, Any]] = None,
                write_ledger: bool = True) -> None:
         nonlocal done_count
         slots[index] = result
         done_count += 1
         if result.ok and cache is not None and result.source == SOURCE_EXECUTED:
-            cache.put(result.config, result.record)
+            cache.put(result.config, record_dict, digests[index])
         ledger_slots[index] = write_ledger and ledger is not None
+        if ledger_slots[index]:
+            record_dicts[index] = record_dict
         flush_ledger()
         if result.ok:
             _metric("sweep." + result.source.replace("-", "_")).inc()
@@ -292,26 +307,27 @@ def run_sweep(spec: Union[SweepSpec, Sequence[RunConfig]],
                 _metric("ledger.gave_ups").inc()
         if result.source == SOURCE_RESUMED:
             _metric("ledger.resume_skips").inc()
-        events.emit("sweep.config", id=digests[result.config][:12],
-                    config=result.config.describe(), source=result.source,
-                    ok=result.ok, elapsed=round(result.elapsed, 6),
-                    attempts=result.attempts)
+        if events.enabled:
+            events.emit("sweep.config", id=digests[index][:12],
+                        config=result.config.describe(), source=result.source,
+                        ok=result.ok, elapsed=round(result.elapsed, 6),
+                        attempts=result.attempts)
         if progress is not None:
             progress(done_count, total, result)
 
     # Pass 1: resolve from the ledger (resume) and the result cache.
-    resumed = ledger.completed() if (resume and ledger is not None) else {}
+    resumed = ledger.completed() if resume else {}
     pending: List[int] = []
     for index, config in enumerate(configs):
-        entry = resumed.get(digests[config])
+        entry = resumed.get(digests[index])
         if entry is not None and "record" in entry:
             result = _result_from_payload(config, {"record": entry["record"]})
             result.source = SOURCE_RESUMED
             # Already in the ledger — appending again would bloat it.
             finish(index, result, write_ledger=False)
             continue
-        if resume and max_attempts is not None:
-            failed = prior_failures.get(digests[config])
+        if prior_failures is not None and max_attempts is not None:
+            failed = prior_failures.get(digests[index])
             if failed is not None and failed["attempts"] >= max_attempts:
                 result = RunResult(
                     config=config,
@@ -332,15 +348,15 @@ def run_sweep(spec: Union[SweepSpec, Sequence[RunConfig]],
 
     # Pass 2: execute what remains through the transport.
     if pending:
-        items = [(index, configs[index], digests[configs[index]])
-                 for index in pending]
+        items = [(index, configs[index], digests[index]) for index in pending]
         options: Optional[Dict[str, Any]] = None
         if checkpoint_every is not None or checkpoint_dir is not None:
             options = {"checkpoint_every": checkpoint_every,
                        "checkpoint_dir": (str(checkpoint_dir)
                                           if checkpoint_dir else None)}
         for index, payload in transport.run(items, options):
-            finish(index, _result_from_payload(configs[index], payload))
+            finish(index, _result_from_payload(configs[index], payload),
+                   payload.get("record"))
 
     sweep_result = SweepResult(results=list(slots),
                                elapsed=time.perf_counter() - started)

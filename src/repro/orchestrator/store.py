@@ -7,12 +7,22 @@ tolerantly skips).  Resuming an interrupted sweep is then just "skip every
 config whose digest already has a ``done`` line".
 
 The ledger is safe for **concurrent writers on a shared filesystem**: each
-entry is encoded once and emitted with a single ``os.write`` on an
-``O_APPEND`` descriptor (atomic with respect to the file offset), under an
-advisory ``fcntl`` lock where the platform provides one so that appends
-from different machines cannot interleave even on filesystems with weaker
-append semantics.  This is what lets the queue transport's coordinator and
-any number of concurrent sweeps share one ledger file.
+entry is encoded once and emitted by :func:`~repro.orchestrator.fsutil.
+append_line`, the append helper the result cache shares — a single
+``os.write`` on an ``O_APPEND`` descriptor (atomic with respect to the file
+offset), under an advisory ``fcntl`` lock where the platform provides one
+so that appends from different machines cannot interleave even on
+filesystems with weaker append semantics.  This is what lets the queue
+transport's coordinator and any number of concurrent sweeps share one
+ledger file.  The torn-tail rule: an append after a torn final line (a
+writer killed mid-append) starts a new line, so the crash costs the torn
+entry alone and every later entry reads back whole.
+
+Where the result cache is a memo that may lose entries, the ledger is the
+record of what ran: resume, reports and the dashboard read it.  Like the
+cache, it is not ``fsync``'d per line; a machine crash can lose the tail
+the operating system had not yet written, and a resumed sweep re-runs
+those configs.
 
 The ledger stores full :class:`ExperimentRecord` payloads (via the
 :mod:`repro.io` dictionary form), so a finished ledger doubles as the raw
@@ -23,17 +33,12 @@ straight into :mod:`repro.analysis.tables`.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Set, Union
 
 from ..telemetry import counter as _metric
+from .fsutil import append_line
 from .spec import RunConfig
-
-try:  # advisory locking is POSIX-only; the O_APPEND write stands alone
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
 
 __all__ = ["LEDGER_KIND", "LedgerReader", "RunLedger"]
 
@@ -127,19 +132,7 @@ class RunLedger:
             entry["attempts"] = int(attempts)
         line = (json.dumps(entry) + "\n").encode("utf-8")
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # One write() call on an O_APPEND descriptor: the kernel advances
-        # the offset and writes atomically, so two processes appending at
-        # once can never tear each other's lines on a local filesystem.
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            if fcntl is not None:
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX)
-                except OSError:
-                    pass  # locking unsupported (some network mounts)
-            os.write(fd, line)
-        finally:
-            os.close(fd)  # closing the descriptor releases the lock
+        append_line(self.path, line)
         _metric("ledger.appends").inc()
 
     # -- reading ------------------------------------------------------------

@@ -14,12 +14,16 @@ order — the pool reassembles spec order from the indices.  A payload is
 the JSON-safe outcome dictionary produced by :func:`execute_payload`
 (either a ``"record"`` or an ``"error"`` key, plus ``"elapsed"``), which
 is exactly what queue workers write to result files and what pool workers
-return over the process boundary.
+return over the process boundary.  Inline payloads, which never leave the
+process, also carry live objects: the ``"live_record"`` the ``"record"``
+dictionary was made from, or the ``"exception"`` behind an ``"error"``,
+so the sweep neither parses the record back nor loses the exception type.
 
 Four backends ship with the orchestrator:
 
 * :class:`InlineTransport` — in the calling process, zero overhead, keeps
-  the original exception object (the historical ``jobs=1`` path),
+  the live record and the original exception object (the historical
+  ``jobs=1`` path),
 * :class:`ProcessTransport` — a ``multiprocessing`` pool on this machine
   (the historical ``jobs>1`` path),
 * :class:`~repro.orchestrator.queue.QueueTransport` — a filesystem task
@@ -112,10 +116,11 @@ def _indexed_payload(
 class InlineTransport:
     """Execute configs in the calling process, one at a time.
 
-    The payloads additionally carry the live ``"exception"`` object so
-    ``SweepResult.raise_failures`` can re-raise the original type —
-    behaviour the serial front-ends rely on and process boundaries cannot
-    provide.
+    The payloads additionally carry live objects that process boundaries
+    cannot: the ``"exception"`` object, so ``SweepResult.raise_failures``
+    can re-raise the original type (behaviour the serial front-ends rely
+    on), and the ``"live_record"``, so the sweep uses the record itself
+    instead of parsing its dictionary back.
     """
 
     name = "inline"
@@ -134,6 +139,7 @@ class InlineTransport:
                 record = session.execute()
                 payload: Dict[str, Any] = {
                     "record": records_to_dicts([record])[0],
+                    "live_record": record,
                     "elapsed": time.perf_counter() - started,
                 }
                 if session.resumed_round is not None:

@@ -95,6 +95,17 @@ class TestRecordsRoundTrip:
             assert clone.metrics == original.metrics
             assert clone.succeeded == original.succeeded
 
+    def test_parsed_records_share_their_strings(self):
+        # JSON gives every parsed record its own copy of each string; the
+        # records a warm sweep or a ledger read holds share one instead.
+        records = run_scaling_experiment("dle", "hexagon", sizes=(1, 2), seed=0)
+        first, second = (records_from_dicts(json.loads(json.dumps(
+            records_to_dicts(records)))) for _ in range(2))
+        assert first[0].family is second[1].family
+        assert first[0].algorithm is second[0].algorithm
+        keys = [next(iter(record.details)) for record in first + second]
+        assert all(key is keys[0] for key in keys)
+
     def test_file_round_trip(self, tmp_path):
         records = run_scaling_experiment("obd", "hexagon", sizes=(1, 2), seed=0)
         path = tmp_path / "records.json"

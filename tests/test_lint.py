@@ -696,6 +696,8 @@ STRICT_TARGETS = (
     "src/repro/session.py",
     "src/repro/state.py",
     "src/repro/telemetry",
+    "src/repro/orchestrator/cache.py",
+    "src/repro/orchestrator/fsutil.py",
     "src/repro/orchestrator/transport.py",
     "src/repro/orchestrator/lease.py",
     "src/repro/grid/metrics.py",

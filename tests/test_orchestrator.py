@@ -134,16 +134,55 @@ class TestResultCache:
         assert CONFIG not in ResultCache(tmp_path / "cache", code_version="v2")
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
+        # A complete line that keeps its digest but no longer parses is
+        # indexed, and reading it is a miss; a later put supersedes it.
+        cache = ResultCache(tmp_path / "cache")
+        record = Session.run(CONFIG).record
+        cache.put(CONFIG, record)
+        line = cache.path.read_bytes()
+        cache.path.write_bytes(line[:100] + b"{not json\n")
+        assert cache.get(CONFIG) is None
+        fresh = ResultCache(tmp_path / "cache")
+        assert CONFIG not in fresh and fresh.get(CONFIG) is None
+        fresh.put(CONFIG, record)
+        again = ResultCache(tmp_path / "cache").get(CONFIG)
+        assert records_to_dicts([again]) == records_to_dicts([record])
+
+    def test_torn_last_line_is_a_miss(self, tmp_path):
+        # A writer killed mid-append leaves half a line: it is never read
+        # as an entry, and an entry put after it is found by a fresh cache.
         cache = ResultCache(tmp_path / "cache")
         cache.put(CONFIG, Session.run(CONFIG).record)
-        cache.path_for(CONFIG).write_text("{not json")
-        assert cache.get(CONFIG) is None
+        whole = cache.path.read_bytes()
+        cache.path.write_bytes(whole[:len(whole) // 2])
+        assert ResultCache(tmp_path / "cache").get(CONFIG) is None
+        other = RunConfig("dle", "hexagon", 2, 1)
+        other_record = Session.run(other).record
+        cache.put(other, other_record)
+        fresh = ResultCache(tmp_path / "cache")
+        assert fresh.get(CONFIG) is None
+        got = fresh.get(other)
+        assert records_to_dicts([got]) == records_to_dicts([other_record])
+        assert fresh.stats() == {"hits": 1, "misses": 1, "entries": 2}
 
-    def test_writer_replace_never_exposes_partial_entry(self, tmp_path):
-        # The temp-file + os.replace write racing a reader: while another
-        # process overwrites the entry in a tight loop, every successful
-        # read must be the complete, correct record — never a torn file.
-        cache = ResultCache(tmp_path / "cache", code_version="race")
+    def test_old_layout_entry_is_not_served(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        digest = cache.digest(CONFIG)
+        old = tmp_path / "cache" / digest[:2] / f"{digest}.json"
+        old.parent.mkdir(parents=True)
+        old.write_text(json.dumps({
+            "kind": "sweep-cache-entry", "digest": digest,
+            "code": cache.code_version, "config": CONFIG.to_dict(),
+            "record": records_to_dicts([Session.run(CONFIG).record])[0]}))
+        assert cache.get(CONFIG) is None
+        assert CONFIG not in cache and len(cache) == 0
+
+    def test_concurrent_appender_never_exposes_partial_entry(self, tmp_path):
+        # Another process appends entries in a tight loop while fresh
+        # caches scan the log: a line still being written is never
+        # indexed, so every read is the complete, correct record.
+        root = tmp_path / "cache"
+        cache = ResultCache(root, code_version="race")
         record = Session.run(CONFIG).record
         expected = records_to_dicts([record])
         cache.put(CONFIG, record)
@@ -154,16 +193,15 @@ class TestResultCache:
             "config = RunConfig('dle', 'hexagon', 2, 0)\n"
             "cache = ResultCache(sys.argv[1], code_version='race')\n"
             "record = Session.run(config).record\n"
-            "for _ in range(200):\n"
+            "for _ in range(2000):\n"
             "    cache.put(config, record)\n"
         )
         writer = subprocess.Popen(
-            [sys.executable, "-c", script, str(tmp_path / "cache")],
-            env=_subprocess_env())
+            [sys.executable, "-c", script, str(root)], env=_subprocess_env())
         try:
             reads = 0
             while writer.poll() is None:
-                got = cache.get(CONFIG)
+                got = ResultCache(root, code_version="race").get(CONFIG)
                 assert got is not None, "reader saw a missing/partial entry"
                 assert records_to_dicts([got]) == expected
                 reads += 1
@@ -172,11 +210,43 @@ class TestResultCache:
         finally:
             if writer.poll() is None:
                 writer.kill()
-        # Leftover hidden temp files (from a crashed writer) are not
-        # counted as entries.
-        (tmp_path / "cache" / cache.digest(CONFIG)[:2] / ".leftover.tmp"
-         ).write_text("junk")
-        assert len(cache) == 1
+        assert len(cache.path.read_bytes().splitlines()) == 2001
+        # Every line holds the same digest: one entry.
+        assert len(ResultCache(root, code_version="race")) == 1
+
+    def test_two_sweeps_share_one_root(self, tmp_path):
+        # Two processes sweep the same configs into one root at once; both
+        # get the records of a jobs=1 run, and a third sweep is all hits.
+        spec = SweepSpec(algorithms=["dle", "erosion"],
+                         families=["hexagon", "line"], sizes=[1, 2],
+                         seeds=[0, 1])
+        reference = records_to_dicts(run_sweep(spec, jobs=1).records)
+        script = (
+            "import json, sys\n"
+            "from repro.io import records_to_dicts\n"
+            "from repro.orchestrator import SweepSpec, run_sweep\n"
+            "spec = SweepSpec.from_dict(json.loads(sys.argv[2]))\n"
+            "result = run_sweep(spec, jobs=1, cache=sys.argv[1])\n"
+            "print(json.dumps(records_to_dicts(result.records)))\n"
+        )
+        root = tmp_path / "cache"
+        sweeps = [subprocess.Popen(
+            [sys.executable, "-c", script, str(root),
+             json.dumps(spec.to_dict())],
+            env=_subprocess_env(), stdout=subprocess.PIPE, text=True)
+            for _ in range(2)]
+        try:
+            outputs = [sweep.communicate(timeout=120)[0] for sweep in sweeps]
+        finally:
+            for sweep in sweeps:
+                if sweep.poll() is None:
+                    sweep.kill()
+        assert [sweep.returncode for sweep in sweeps] == [0, 0]
+        for output in outputs:
+            assert json.loads(output) == reference
+        third = run_sweep(spec, jobs=1, cache=ResultCache(root))
+        assert third.counts()["cached"] == len(spec)
+        assert records_to_dicts(third.records) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +273,17 @@ class TestRunLedger:
         with path.open("a") as handle:
             handle.write('{"kind": "sweep-run", "digest": "d2", "stat')
         assert ledger.completed_digests() == {"d1"}
+
+    def test_append_after_torn_final_line_is_kept(self, tmp_path):
+        # The next append starts a new line instead of gluing itself onto
+        # the fragment, so the torn entry is the only one lost.
+        path = tmp_path / "ledger.jsonl"
+        ledger = RunLedger(path)
+        ledger.append("d1", CONFIG, "done", record_dict={"i": 1})
+        with path.open("a") as handle:
+            handle.write('{"kind": "sweep-run", "digest": "d2", "stat')
+        ledger.append("d3", CONFIG, "done", record_dict={"i": 3})
+        assert [entry["digest"] for entry in ledger.entries()] == ["d1", "d3"]
 
     def test_rejects_unknown_status(self, tmp_path):
         with pytest.raises(ValueError):
@@ -431,6 +512,38 @@ class TestRunSweep:
         result = run_sweep(spec, jobs=1, ledger=str(ledger_path),
                            resume=True, max_attempts=None)
         assert calls["n"] == 4
+
+    def test_sweep_without_failures_never_reads_them(self, tmp_path,
+                                                      counted_algorithm,
+                                                      monkeypatch):
+        def refuse(self):
+            raise AssertionError("RunLedger.failures read by a clean sweep")
+
+        monkeypatch.setattr(RunLedger, "failures", refuse)
+        ledger_path = tmp_path / "ledger.jsonl"
+        for _ in range(2):  # over an empty ledger, then a populated one
+            result = run_sweep(SPEC, jobs=1, ledger=ledger_path)
+            assert result.counts()["failed"] == 0
+        assert len(RunLedger(ledger_path)) == 8
+
+    def test_fresh_sweep_counts_earlier_failures(self, tmp_path,
+                                                 monkeypatch):
+        # Without --resume the ledger's failures are read when the first
+        # failed line is written, so the attempt count still accumulates.
+        def always_fails(shape, seed, order="random", engine="sweep"):
+            raise RuntimeError("nope")
+
+        monkeypatch.setitem(experiments.ALGORITHMS, "bad", always_fails)
+        spec = SweepSpec(algorithms=["counted", "bad"], families=["hexagon"],
+                         sizes=[2])
+        monkeypatch.setitem(experiments.ALGORITHMS, "counted",
+                            _counting_driver({"runs": 0}))
+        ledger_path = tmp_path / "ledger.jsonl"
+        for _ in range(2):
+            run_sweep(spec, jobs=1, ledger=ledger_path)
+        failed = [entry for entry in RunLedger(ledger_path).entries()
+                  if entry["status"] == "failed"]
+        assert [entry["attempts"] for entry in failed] == [1, 2]
 
     def test_ledger_is_written_in_spec_order_for_any_transport(self, tmp_path):
         from repro.orchestrator import default_code_version

@@ -183,6 +183,15 @@ class TestBoundaries:
         for shape in (hexagon(3), annulus(5, 2), comb(4, 3)):
             assert shape.outer_boundary <= shape.boundary_points
 
+    def test_outer_boundary_is_memoised(self):
+        # L_out, L_max and every OBD cell on a cached shape read it.
+        shape = annulus(5, 2)
+        first = shape.outer_boundary
+        assert shape.outer_boundary is first
+        assert first == {p for p in shape.points
+                         if any(u not in shape.area_points
+                                for u in neighbors(p))}
+
 
 class TestErodableAndSCE:
     def test_proposition7_simply_connected_has_sce_point(self):
