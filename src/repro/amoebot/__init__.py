@@ -13,9 +13,8 @@ from .algorithm import (
     STATUS_LEADER,
     STATUS_UNDECIDED,
     AmoebotAlgorithm,
-    StatusMixin,
 )
-from .faults import FaultInjector, FaultPlan, FaultSpec
+from .faults import FaultInjector, FaultSpec
 from .particle import Particle
 from .scheduler import (
     ENGINES,
@@ -39,7 +38,6 @@ __all__ = [
     "ENGINES",
     "EventDrivenScheduler",
     "FaultInjector",
-    "FaultPlan",
     "FaultSpec",
     "IllegalMoveError",
     "Particle",
@@ -51,7 +49,6 @@ __all__ = [
     "Scheduler",
     "SchedulerResult",
     "SequentialScheduler",
-    "StatusMixin",
     "Trace",
     "make_scheduler",
     "observe_round",

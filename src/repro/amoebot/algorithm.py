@@ -25,7 +25,7 @@ from typing import Any, Dict, Optional
 from .particle import Particle
 from .system import ParticleSystem
 
-__all__ = ["AmoebotAlgorithm", "StatusMixin", "STATUS_KEY",
+__all__ = ["AmoebotAlgorithm", "STATUS_KEY",
            "STATUS_UNDECIDED", "STATUS_LEADER", "STATUS_FOLLOWER",
            "TERMINATED", "QUIESCENT", "is_sce_flag_arc"]
 
@@ -58,10 +58,10 @@ def is_sce_flag_arc(flags) -> bool:
 
     The flagged entries must form a single contiguous cyclic arc of size
     1-3.  The test is rotation invariant, so it gives the same answer on
-    port-indexed and direction-indexed eligibility arrays — Algorithm DLE
-    and the erosion baseline both use it (their quiescence fast paths apply
-    it directly to the port-indexed flags, skipping the port translation
-    the activation itself needs).
+    port-indexed and direction-indexed eligibility arrays — the SCE
+    election behind Algorithm DLE and the erosion baseline applies it
+    directly to the port-indexed flags, skipping the port translation only
+    the expansion step needs.
     """
     if not 1 <= flags.count(True) <= 3:
         return False
@@ -242,31 +242,3 @@ class AmoebotAlgorithm(ABC):
         caches may be rebuilt here; they must reproduce exactly the
         values the uninterrupted run would hold at the same round.
         """
-
-
-class StatusMixin:
-    """Helpers shared by the leader-election algorithms in this package."""
-
-    @staticmethod
-    def status_of(particle: Particle) -> str:
-        return particle.get(STATUS_KEY, STATUS_UNDECIDED)
-
-    @staticmethod
-    def set_status(particle: Particle, status: str) -> None:
-        particle[STATUS_KEY] = status
-
-    @staticmethod
-    def leaders(system: ParticleSystem) -> list:
-        """All particles currently holding leader status."""
-        return [p for p in system.particles()
-                if p.get(STATUS_KEY) == STATUS_LEADER]
-
-    @staticmethod
-    def followers(system: ParticleSystem) -> list:
-        return [p for p in system.particles()
-                if p.get(STATUS_KEY) == STATUS_FOLLOWER]
-
-    @staticmethod
-    def undecided(system: ParticleSystem) -> list:
-        return [p for p in system.particles()
-                if p.get(STATUS_KEY, STATUS_UNDECIDED) == STATUS_UNDECIDED]

@@ -64,7 +64,6 @@ from .system import ParticleSystem
 __all__ = [
     "DEFAULT_FAULT_CAP",
     "FaultInjector",
-    "FaultPlan",
     "FaultSpec",
     "charged_fault_overlay",
     "removal_keeps_connected",
@@ -228,10 +227,6 @@ def _reject_leftovers(family: str, fields: Dict[str, Any]) -> Dict[str, Any]:
         raise ValueError(
             f"unknown key(s) {sorted(fields)} in fault family {family!r}")
     return {}
-
-
-#: Historical alias from the design discussion: a plan *is* a spec.
-FaultPlan = FaultSpec
 
 
 class _StaleParticle(Particle):

@@ -473,7 +473,8 @@ class ParticleSystem:
             return None
         return self._particles[pid]
 
-    def occupancy_maps(self):
+    def occupancy_maps(self) -> Tuple[Callable[[int], Optional[int]],
+                                      Dict[int, Particle]]:
         """The packed occupancy getter and the particle table —
         ``(occupancy.get, particles)`` — for algorithm hot paths that walk
         neighbourhood rings themselves (see :mod:`repro.grid.packed`).

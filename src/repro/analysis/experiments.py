@@ -281,16 +281,9 @@ def run_experiment(algorithm: str, shape: Shape, family: str = "custom",
             f"fault-aware: {sorted(FAULT_ALGORITHMS)}")
     if metrics is None:
         metrics = compute_metrics(shape)
-    # Old-style drivers (registered before checkpointing existed) accept
-    # four arguments; only hand them the checkpoint — and the fault plan —
-    # when one is active.
-    if faults:
-        details = driver(shape, seed, order, engine, checkpoint,
-                         faults=faults)
-    elif checkpoint is not None:
-        details = driver(shape, seed, order, engine, checkpoint)
-    else:
-        details = driver(shape, seed, order, engine)
+    # Only the FAULT_ALGORITHMS drivers take a fault plan.
+    extra = {"faults": faults} if faults else {}
+    details = driver(shape, seed, order, engine, checkpoint, **extra)
     rounds = int(details.pop("rounds"))
     succeeded = bool(details.pop("succeeded"))
     return ExperimentRecord(

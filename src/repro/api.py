@@ -26,7 +26,7 @@ The simulator
     adversarial activation orders used by the scheduler ablation.
 
 Fault injection and robustness
-    ``FaultSpec`` (alias ``FaultPlan``) — the parsed, seeded fault plan
+    ``FaultSpec`` — the parsed, seeded fault plan
     (crash/revive, visibility delays, shape perturbation);
     ``FaultInjector`` — the per-run adversary the schedulers consult;
     ``FAULT_ALGORITHMS`` — the algorithms that accept a fault plan;
@@ -75,7 +75,7 @@ Streaming ledger analytics and dashboards
 from __future__ import annotations
 
 from .amoebot.adversary import ADVERSARY_FACTORIES
-from .amoebot.faults import FaultInjector, FaultPlan, FaultSpec
+from .amoebot.faults import FaultInjector, FaultSpec
 from .amoebot.scheduler import (
     Scheduler,
     SchedulerResult,
@@ -169,7 +169,6 @@ __all__ = [
     "ExperimentRecord",
     "FAULT_ALGORITHMS",
     "FaultInjector",
-    "FaultPlan",
     "FaultSpec",
     "GroupCell",
     "LedgerAggregator",

@@ -23,7 +23,6 @@ from ..amoebot.algorithm import (
     STATUS_KEY,
     STATUS_LEADER,
     AmoebotAlgorithm,
-    StatusMixin,
 )
 from ..amoebot.particle import Particle
 from ..amoebot.system import ParticleSystem
@@ -39,7 +38,7 @@ class SpanningTreeError(RuntimeError):
     """Raised when the constructed structure is not a spanning tree."""
 
 
-class SpanningTreeAlgorithm(AmoebotAlgorithm, StatusMixin):
+class SpanningTreeAlgorithm(AmoebotAlgorithm):
     """Grow a spanning tree rooted at the (already elected) leader.
 
     Every particle stores whether it has joined the tree and, except for the

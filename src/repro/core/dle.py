@@ -1,7 +1,8 @@
 """Algorithm DLE — Disconnecting Leader Election (Section 4.1 of the paper).
 
 This is a faithful, per-activation implementation of the paper's pseudocode
-(page 11).  Every particle keeps
+(page 11), written as :class:`SCEElection`, the rule DLE shares with the
+erosion baseline of Table 1, plus two small subclasses.  Every particle keeps
 
 * ``outer[0..5]`` — the read-only input stating, for each head port, whether
   the neighbouring point lies on the outer face of the *initial* shape
@@ -10,25 +11,32 @@ This is a faithful, per-activation implementation of the paper's pseudocode
 * ``eligible[0..5]`` — whether the point behind each head port is still in
   the eligible set ``S_e``.
 
-The eligible set starts as the area of the initial shape (occupied points
-plus hole points) and only shrinks.  An activated, contracted, undecided
+The eligible set starts as :meth:`SCEElection.initial_eligible` of the
+initial shape and only shrinks.  An activated, contracted, undecided
 particle occupying a strictly-convex-and-erodable (SCE) point of ``S_e``
-removes its point from ``S_e`` and, when the removal uncovers an empty
-eligible point, expands into it (moving "inwards"); otherwise it becomes a
-follower.  The last particle whose point remains eligible becomes the unique
-leader.  The particle system may disconnect during the execution — that is
-the algorithm's distinguishing feature — and can be reconnected afterwards
-by :class:`repro.core.collect.CollectAlgorithm`.
+removes its point from ``S_e``.  If its class sets
+:attr:`~SCEElection.expands` and the removal uncovers an empty eligible
+point, it expands into it (moving "inwards"); otherwise it becomes a
+follower.  The last particle whose point remains eligible becomes the
+leader.
+
+:class:`DLEAlgorithm` starts from the area of the initial shape (occupied
+points plus hole points) and expands, so the particle system may
+disconnect during the execution — that is the algorithm's distinguishing
+feature — and can be reconnected afterwards by
+:class:`repro.core.collect.CollectSimulator`.  The erosion baseline
+(:class:`repro.baselines.erosion.ErosionLeaderElection`) starts from the
+occupied points and never moves.
 
 Instrumentation: the algorithm object mirrors ``S_e`` in
-:attr:`DLEAlgorithm.eligible_points` (never read by particle code) so tests
+:attr:`SCEElection.eligible_points` (never read by particle code) so tests
 can check the invariants of Lemma 11 and Lemma 19 and experiments can report
 the erosion progress.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Dict, List, Optional, Set
 
 from ..amoebot.algorithm import (
     QUIESCENT,
@@ -38,7 +46,6 @@ from ..amoebot.algorithm import (
     STATUS_UNDECIDED,
     TERMINATED,
     AmoebotAlgorithm,
-    StatusMixin,
     is_sce_flag_arc,
 )
 from ..amoebot.particle import Particle
@@ -51,15 +58,14 @@ from ..grid.coords import (
 )
 from ..grid.packed import pack_point, packed_neighbors
 from ..grid.shape import Shape
+from .obd import OBD_OUTER_MEMORY_KEY
 
-__all__ = ["DLEAlgorithm", "LeaderElectionError", "verify_unique_leader"]
+__all__ = ["DLEAlgorithm", "LeaderElectionError", "SCEElection",
+           "verify_unique_leader"]
 
 OUTER_KEY = "outer"
 ELIGIBLE_KEY = "eligible"
 TERMINATED_KEY = "terminated"
-#: Memory key under which the OBD primitive stores the per-port outer-face
-#: information it detected; DLE reads it when ``outer_from_memory=True``.
-OUTER_INPUT_MEMORY_KEY = "obd_outer"
 
 
 class LeaderElectionError(RuntimeError):
@@ -107,27 +113,44 @@ _INVERSE = tuple(
 )
 
 
-class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
-    """The paper's Algorithm DLE, executed per atomic activation."""
+def _area_flags(particle: Particle,
+                eligible_area: AbstractSet[Point]) -> List[bool]:
+    """Line 6: per head port, whether the neighbour is in the eligible
+    area (at set-up, :meth:`SCEElection.initial_eligible`); computed
+    C-side."""
+    adjacent = neighbors_interned(particle.head)
+    return list(map(
+        eligible_area.__contains__,
+        map(adjacent.__getitem__, _ROTATIONS[particle.orientation])))
 
-    name = "dle"
+
+class SCEElection(AmoebotAlgorithm):
+    """Leader election by eroding the SCE points of an eligible set,
+    executed per atomic activation.
+
+    Subclasses declare where the eligible set starts
+    (:meth:`initial_eligible`) and whether an eroding particle moves into
+    an empty eligible point it uncovers (:attr:`expands`); everything
+    else — the flags, the SCE step, quiescence, termination and the
+    checkpoint state — is this class."""
+
     reports_termination = True
     reports_quiescence = True
     #: An expansion next to a parked particle changes no flags and removes
     #: no undecided neighbour, so pure occupancy gains never wake (see the
-    #: base-class attribute for the full contract).  DLE performs no
-    #: handovers, so the owner-switch caveat does not apply.
+    #: base-class attribute for the full contract).  The election performs
+    #: no handovers, so the owner-switch caveat does not apply.
     occupancy_gain_wakes = False
+    #: Whether an eroding particle expands into an empty eligible neighbour
+    #: (lines 20-26); without it every eroding particle becomes a follower.
+    expands = True
 
-    def __init__(self, outer_from_memory: bool = False,
-                 strict_checks: bool = True) -> None:
+    def __init__(self, outer_from_memory: bool = False) -> None:
         """``outer_from_memory`` makes setup read the ``outer`` input arrays
         from particle memory (key ``obd_outer``) instead of computing them
         from the initial shape; this is how the OBD primitive discharges the
-        known-boundary assumption.  ``strict_checks`` enables internal
-        assertions (Claim 10) that are cheap and recommended."""
+        known-boundary assumption."""
         self.outer_from_memory = outer_from_memory
-        self.strict_checks = strict_checks
         #: Instrumentation mirror of the eligible set ``S_e``.
         self.eligible_points: Set[Point] = set()
         #: The last eligible point (the leader's point ``l``), once known.
@@ -154,86 +177,62 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
         #: (:meth:`is_quiescent`).
         self._waiting: Dict[int, int] = {}
 
+    def initial_eligible(self, shape: Shape) -> AbstractSet[Point]:
+        """The points of the initial shape that start in ``S_e``."""
+        raise NotImplementedError
+
     # -- setup ----------------------------------------------------------------
 
     def setup(self, system: ParticleSystem) -> None:
         initial_shape = system.shape()
         if not initial_shape.is_connected():
-            raise ValueError("DLE requires a connected initial configuration")
+            raise ValueError(f"{self.name} requires a connected configuration")
         if not system.all_contracted():
-            raise ValueError("DLE requires a contracted initial configuration")
-        self.eligible_points = set(initial_shape.area_points)
+            raise ValueError(f"{self.name} requires a contracted configuration")
+        eligible_area = self.initial_eligible(initial_shape)
+        self.eligible_points = set(eligible_area)
         self.leader_point = None
         self.erosions = 0
         self._terminated_count = 0
         self._population = len(system)
         self._waiting = {}
-        # An adjacent empty point is on the outer face iff it is neither
-        # occupied nor a hole point, i.e. not in the area — a set lookup,
-        # much cheaper than six point_in_outer_face calls per particle.
-        area = initial_shape.area_points
         self._actionable = set()
         for particle in system.particles():
             if self.outer_from_memory:
-                outer = self._outer_input(particle, initial_shape)
-                eligible = [not flag for flag in outer]
-                memory = particle.memory
-                memory[OUTER_KEY] = outer
-                memory[STATUS_KEY] = STATUS_UNDECIDED
-                memory[TERMINATED_KEY] = False
-                memory[ELIGIBLE_KEY] = eligible
-                if True not in eligible or is_sce_flag_arc(eligible):
-                    self._actionable.add(particle.particle_id)
+                stored = particle.get(OBD_OUTER_MEMORY_KEY)
+                if stored is None or len(stored) != NUM_DIRECTIONS:
+                    raise ValueError(
+                        "outer_from_memory=True but particle has no "
+                        f"{OBD_OUTER_MEMORY_KEY!r} array of length 6"
+                    )
+                self._initialise(particle, [not flag for flag in stored])
             else:
-                self._initialise(particle, area)
+                self._initialise(particle, _area_flags(particle,
+                                                       eligible_area))
 
     def admit(self, particle: Particle, system: ParticleSystem) -> None:
         """Start a particle a shape fault added mid-run undecided, its
         flags read against the current eligible set ``S_e`` the way
-        set-up reads them against the initial area."""
-        self._initialise(particle, self.eligible_points)
+        set-up reads them against the initial one."""
+        self._initialise(particle, _area_flags(particle, self.eligible_points))
         self._population += 1
 
-    def _initialise(self, particle: Particle,
-                    eligible_area: AbstractSet[Point]) -> None:
-        """The initialization block (lines 5-7) for one particle, with the
-        points of ``eligible_area`` eligible."""
-        adjacent = neighbors_interned(particle.head)
-        # Line 6: eligible iff the neighbour is in the eligible area
-        # (at set-up, occupied or a hole point); computed C-side.
-        eligible = list(map(
-            eligible_area.__contains__,
-            map(adjacent.__getitem__, _ROTATIONS[particle.orientation])))
-        # One dict display replaces four item writes; the memory is fresh
-        # from construction, so nothing is clobbered.
-        particle.memory = {
+    def _initialise(self, particle: Particle, eligible: List[bool]) -> None:
+        """The initialization block (lines 5-7) for one particle with the
+        eligibility flags ``eligible``; the OBD input stays in memory."""
+        particle.memory.update({
             OUTER_KEY: [not flag for flag in eligible],
             STATUS_KEY: STATUS_UNDECIDED,
             TERMINATED_KEY: False,
             ELIGIBLE_KEY: eligible,
-        }
+        })
         if True not in eligible or is_sce_flag_arc(eligible):
             self._actionable.add(particle.particle_id)
-
-    def _outer_input(self, particle: Particle, shape: Shape) -> List[bool]:
-        if self.outer_from_memory:
-            stored = particle.get(OUTER_INPUT_MEMORY_KEY)
-            if stored is None or len(stored) != NUM_DIRECTIONS:
-                raise ValueError(
-                    "outer_from_memory=True but particle has no "
-                    f"{OUTER_INPUT_MEMORY_KEY!r} array of length 6"
-                )
-            return [bool(flag) for flag in stored]
-        outer = []
-        for port in range(NUM_DIRECTIONS):
-            point = particle.head_neighbor(port)
-            outer.append(shape.point_in_outer_face(point))
-        return outer
 
     # -- termination ------------------------------------------------------------
 
     def is_terminated(self, particle: Particle, system: ParticleSystem) -> bool:
-        return particle.memory.get(TERMINATED_KEY, False)
+        return particle.memory.get(TERMINATED_KEY) is True
 
     def has_terminated(self, system: ParticleSystem) -> bool:
         # The terminated flag is set in exactly one place and never cleared,
@@ -284,15 +283,16 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
         """Movement-wake declaration for the event-driven engine.
 
         A parked *undecided* particle is quiescent because its eligibility
-        flags are non-SCE, and those flags are written exclusively by
-        ``_mark_ineligible`` — whose acting particle names it in the
-        precise wake list — so an occupancy change alone can never end its
-        quiescence.  A parked *decided* particle waits on its neighbours'
+        flags are non-SCE, and those flags are written exclusively by an
+        eroding neighbour's ring walk in :meth:`activate` — which names it
+        in the precise wake list — so an occupancy change alone can never
+        end its quiescence.  A parked *decided* particle waits on its neighbours'
         statuses, and movement can change who its neighbours are, so it
         keeps the conservative wake."""
-        return particle.memory[STATUS_KEY] != STATUS_UNDECIDED
+        status: str = particle.memory[STATUS_KEY]
+        return status != STATUS_UNDECIDED
 
-    def initially_active_ids(self, system: ParticleSystem):
+    def initially_active_ids(self, system: ParticleSystem) -> Set[int]:
         """At setup every particle is contracted and undecided, so the
         particles whose first activation acts are exactly the actionable
         ones (flags empty or SCE) — the mirror setup just built."""
@@ -357,15 +357,12 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
             # eligibility flags alone), so only those whose wait count
             # runs out need waking; parked particles are always
             # contracted, so head-adjacency suffices.
+            adjacent = system.head_adjacent_particles(point)
+            decided = [q for q, _ in adjacent
+                       if q.memory[STATUS_KEY] != STATUS_UNDECIDED]
             return self._decided_transition_wake(
-                particle.particle_id, system.head_adjacent_particles(point))
-
-        # eligible[] is indexed by *port*; translate to global directions once
-        # so the geometric steps below are direction based.
-        orientation = particle.orientation
-        ports = _INVERSE[orientation]
-        eligible_dirs = [d for d in range(NUM_DIRECTIONS)
-                         if eligible[ports[d]]]
+                particle.particle_id, len(adjacent) - len(decided), decided,
+                [])
 
         # Lines 17-26 share one occupancy-ring walk (the erosion hot
         # path): remove v from S_e, fix the head-adjacent neighbours'
@@ -378,7 +375,6 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
         occupancy_get, particles = system.occupancy_maps()
         ring = packed_neighbors(pack_point(point))
         actionable = self._actionable
-        waiting = self._waiting
         written: List[Particle] = []
         decided: List[Particle] = []
         occupied_mask = 0
@@ -411,13 +407,20 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
             else:
                 decided.append(q)
 
-        empty_eligible = [d for d in eligible_dirs
-                          if not occupied_mask >> d & 1]
-        if self.strict_checks and len(empty_eligible) > 1:
-            raise LeaderElectionError(
-                "Claim 10 violated: SCE point has more than one empty "
-                f"eligible neighbour at {point}"
-            )
+        empty_eligible: List[int] = []
+        if self.expands:
+            # eligible[] is indexed by *port*; translate to global
+            # directions so the geometric step below is direction based.
+            orientation = particle.orientation
+            ports = _INVERSE[orientation]
+            empty_eligible = [d for d in range(NUM_DIRECTIONS)
+                              if eligible[ports[d]]
+                              and not occupied_mask >> d & 1]
+            if len(empty_eligible) > 1:
+                raise LeaderElectionError(
+                    "Claim 10 violated: SCE point has more than one empty "
+                    f"eligible neighbour at {point}"
+                )
         if empty_eligible:
             direction = empty_eligible[0]
             target = neighbor(point, direction)
@@ -443,60 +446,24 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
         # wait count runs out re-examine the status (parked ones are
         # contracted, so head-adjacency covers them), and ``written``
         # already holds the undecided neighbours that became actionable.
-        undecided_adjacent = len(written)
-        for q in decided:
-            qid = q.particle_id
-            count = waiting.get(qid)
-            if count is not None:
-                waiting[qid] = count = count - 1
-                if count > 0:
-                    continue  # still provably waiting on someone else
-            written.append(q)
-        waiting[particle.particle_id] = undecided_adjacent
-        return written
+        return self._decided_transition_wake(
+            particle.particle_id, len(written), decided, written)
 
     # -- helpers ----------------------------------------------------------------
 
-    @staticmethod
-    def _is_sce(eligible_dirs: List[int]) -> bool:
-        """SCE test from purely local information.
-
-        The non-eligible directions must form a single contiguous cyclic arc
-        (single local boundary; since ``S_e`` stays simply connected, Lemma
-        11, that boundary is automatically an outer one) of size at least
-        three (strict convexity: boundary count ``|B| - 2 > 0``).
-        Equivalently: 1-3 eligible directions forming a contiguous arc.
-        """
-        k = len(eligible_dirs)
-        if k == 0 or k > 3:
-            return False
-        eligible_set = set(eligible_dirs)
-        # The eligible directions form a contiguous cyclic arc iff there is
-        # exactly one index d with d eligible and (d - 1) mod 6 not eligible.
-        starts = sum(
-            1 for d in eligible_set
-            if (d - 1) % NUM_DIRECTIONS not in eligible_set
-        )
-        return starts == 1
-
-    def _decided_transition_wake(self, pid: int,
-                                 adjacent: List[Tuple[Particle, int]]
-                                 ) -> List[Particle]:
+    def _decided_transition_wake(self, pid: int, undecided: int,
+                                 decided: List[Particle],
+                                 wake: List[Particle]) -> List[Particle]:
         """Bookkeeping for an undecided -> decided transition.
 
-        Initialises the decider's own wait count (a lower bound: the
-        undecided particles head-adjacent to it) and decrements the wait
-        counts of its decided neighbours; returns the decided neighbours
+        Sets the decider's own wait count to ``undecided`` (a lower bound
+        on its undecided neighbours) and decrements the wait counts of its
+        ``decided`` neighbours; appends to ``wake`` the decided neighbours
         whose count ran out — the only ones whose termination check can
         now succeed, which is exactly the wake list the event engine
-        needs."""
+        needs — and returns it."""
         waiting = self._waiting
-        wake: List[Particle] = []
-        undecided = 0
-        for q, _ in adjacent:
-            if q.memory[STATUS_KEY] == STATUS_UNDECIDED:
-                undecided += 1
-                continue
+        for q in decided:
             qid = q.particle_id
             count = waiting.get(qid)
             if count is not None:
@@ -507,10 +474,9 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
         waiting[pid] = undecided
         return wake
 
-
     # -- checkpoint state protocol ----------------------------------------------
 
-    def snapshot_state(self, system: ParticleSystem) -> Dict[str, object]:
+    def snapshot_state(self, system: ParticleSystem) -> Dict[str, Any]:
         """Algorithm-private state (the parts outside particle memories):
         the ``S_e`` mirror, erosion counters and the actionable/wait-count
         mirrors of the quiescence predicate."""
@@ -527,7 +493,7 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
                         for pid, count in sorted(self._waiting.items())],
         }
 
-    def restore_state(self, state: Dict[str, object],
+    def restore_state(self, state: Dict[str, Any],
                       system: ParticleSystem) -> None:
         self.eligible_points = {tuple(point)
                                 for point in state["eligible_points"]}
@@ -547,10 +513,19 @@ class DLEAlgorithm(AmoebotAlgorithm, StatusMixin):
 
     # -- instrumentation --------------------------------------------------------
 
-    def leader(self, system: ParticleSystem) -> Particle:
-        """Return the unique leader, verifying the DLE predicate."""
-        return verify_unique_leader(system)
-
     def eligible_set_size(self) -> int:
         """Current size of the instrumented eligible set ``S_e``."""
         return len(self.eligible_points)
+
+
+class DLEAlgorithm(SCEElection):
+    """The paper's Algorithm DLE: the SCE election over the area of the
+    initial shape, with eroding particles moving inwards."""
+
+    name = "dle"
+
+    def initial_eligible(self, shape: Shape) -> AbstractSet[Point]:
+        # An adjacent empty point is on the outer face iff it is neither
+        # occupied nor a hole point, i.e. not in the area — a set lookup,
+        # much cheaper than six point_in_outer_face calls per particle.
+        return shape.area_points

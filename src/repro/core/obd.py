@@ -51,8 +51,8 @@ __all__ = [
     "OBD_OUTER_MEMORY_KEY",
 ]
 
-#: Memory key under which OBD stores the detected per-port outer-face flags;
-#: matches :data:`repro.core.dle.OUTER_INPUT_MEMORY_KEY`.
+#: Memory key under which OBD stores the detected per-port outer-face flags,
+#: which DLE reads with ``outer_from_memory=True``.
 OBD_OUTER_MEMORY_KEY = "obd_outer"
 
 #: Rounds charged per v-node of a boundary ring for the whole segment

@@ -16,8 +16,8 @@ Roles partition the repository the way the CI gate lints it:
     seed their own randomness and construct scratch instruments), only
     rules that explicitly opt in run here.
 ``examples`` / ``benchmarks``
-    The facade consumers: API-hygiene rules (facade-only imports, no
-    deprecated kwargs) apply, internals-oriented rules do not.
+    The facade consumers: API-hygiene rules (facade-only imports) apply,
+    internals-oriented rules do not.
 
 Suppression is per line and per rule::
 

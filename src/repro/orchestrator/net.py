@@ -61,7 +61,7 @@ from typing import (
 
 from . import lease
 from .lease import DEFAULT_LEASE_TTL, DEFAULT_POLL, DEFAULT_TASK_ATTEMPTS
-from .queue import WorkerSummary, await_workers, worker_loop
+from .queue import WorkerSummary, await_results, await_workers, worker_loop
 from .transport import TransportItem
 
 __all__ = [
@@ -881,9 +881,11 @@ class TcpTransport:
                 **({"options": dict(options)} if options else {}),
             } for index, config, digest in items]
             self._submit(client, tasks)
-            while pending:
+
+            def ready() -> List[Tuple[str, Dict[str, Any]]]:
+                nonlocal client
                 try:
-                    ready = self._collect(client, sorted(pending))
+                    return self._collect(client, sorted(pending))
                 except OSError:
                     client.close()
                     client = self._connect(deadline)
@@ -892,20 +894,10 @@ class TcpTransport:
                     # anything that was pending or in flight.
                     self._submit(client, [t for t in tasks
                                           if t["id"] in pending])
-                    continue
-                for payload in ready:
-                    index = pending.pop(str(payload["id"]), None)
-                    if index is not None:
-                        yield index, payload
-                if not pending:
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"tcp sweep timed out after {self.timeout}s with "
-                        f"{len(pending)} task(s) unfinished (live workers: "
-                        f"{self._workers(client) or 'none'})")
-                if not ready:
-                    time.sleep(self.poll)
+                    return []
+
+            yield from await_results(self, pending, ready,
+                                     lambda: self._workers(client), deadline)
         finally:
             client.close()
 
@@ -942,13 +934,15 @@ class TcpTransport:
             client.request({"op": "submit",
                             "tasks": list(tasks[start:start + _BATCH])})
 
-    def _collect(self, client: CoordinatorClient,
-                 task_ids: Sequence[str]) -> List[Dict[str, Any]]:
-        results: List[Dict[str, Any]] = []
+    def _collect(self, client: CoordinatorClient, task_ids: Sequence[str]
+                 ) -> List[Tuple[str, Dict[str, Any]]]:
+        """``(task id, result payload)`` for the finished ``task_ids``."""
+        results: List[Tuple[str, Dict[str, Any]]] = []
         for start in range(0, len(task_ids), _BATCH):
             response = client.request(
                 {"op": "collect", "ids": list(task_ids[start:start + _BATCH])})
-            results.extend(response.get("results", []))
+            results.extend((str(payload["id"]), payload)
+                           for payload in response.get("results", []))
         return results
 
     def _workers(self, client: CoordinatorClient) -> List[str]:

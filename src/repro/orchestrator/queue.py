@@ -47,7 +47,8 @@ import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 from ..telemetry import counter as _metric
@@ -651,6 +652,35 @@ def await_workers(transport: Any, live_workers: Callable[[], List[str]],
         time.sleep(min(transport.poll, 0.5))
 
 
+def await_results(transport: Any, pending: Dict[str, int],
+                  ready: Callable[[], Iterable[Tuple[str, Dict[str, Any]]]],
+                  live_workers: Callable[[], List[str]],
+                  deadline: Optional[float]
+                  ) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Yield ``(index, payload)`` for each task of ``pending`` (task id ->
+    spec index) as ``ready()`` reports its result, sleeping
+    ``transport.poll`` seconds after a poll that brought nothing; past
+    ``deadline`` raise :class:`TimeoutError` naming the unfinished tasks
+    and the live workers."""
+    while pending:
+        progressed = False
+        for task_id, payload in ready():
+            index = pending.pop(task_id, None)
+            if index is None:
+                continue
+            progressed = True
+            yield index, payload
+        if not pending:
+            return
+        if deadline is not None and time.monotonic() >= deadline:
+            raise TimeoutError(
+                f"{transport.name} sweep timed out after {transport.timeout}s "
+                f"with {len(pending)} task(s) unfinished "
+                f"(live workers: {live_workers() or 'none'})")
+        if not progressed:
+            time.sleep(transport.poll)
+
+
 # ---------------------------------------------------------------------------
 # The coordinator-side transport
 # ---------------------------------------------------------------------------
@@ -723,34 +753,26 @@ class QueueTransport:
                     if self.timeout is not None else None)
         reclaim_every = max(self.lease_ttl / 4.0, self.poll)
         last_reclaim = float("-inf")
-        while pending:
+
+        def ready() -> Iterator[Tuple[str, Dict[str, Any]]]:
+            nonlocal last_reclaim
             if time.monotonic() - last_reclaim >= reclaim_every:
                 queue.reclaim_stale()
                 publish_status()
                 last_reclaim = time.monotonic()
-            progressed = False
             # One directory listing per poll instead of one stat per
             # pending task — kinder to the network filesystems this
             # transport is designed for.
             try:
-                ready = {entry[:-5] for entry in os.listdir(queue.results)
-                         if entry.endswith(".json")}
+                listed = {entry[:-5] for entry in os.listdir(queue.results)
+                          if entry.endswith(".json")}
             except OSError:
-                ready = set()
-            for task_id in sorted(pending.keys() & ready):
+                listed = set()
+            for task_id in sorted(pending.keys() & listed):
                 payload = _read_json(queue.result_path(task_id))
-                if payload is None:
-                    continue
-                index = pending.pop(task_id)
-                progressed = True
-                yield index, payload
-            if not pending:
-                publish_status()
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"queue sweep timed out after {self.timeout}s with "
-                    f"{len(pending)} task(s) unfinished "
-                    f"(live workers: {queue.live_workers() or 'none'})")
-            if not progressed:
-                time.sleep(self.poll)
+                if payload is not None:
+                    yield task_id, payload
+
+        yield from await_results(self, pending, ready, queue.live_workers,
+                                 deadline)
+        publish_status()

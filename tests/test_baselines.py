@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.amoebot.scheduler import make_scheduler
 from repro.amoebot.system import ParticleSystem
 from repro.baselines.erosion import (
     ErosionLeaderElection,
@@ -11,12 +12,15 @@ from repro.baselines.randomized import (
     RandomizedBoundaryElection,
     run_randomized_election,
 )
+from repro.core.dle import DLEAlgorithm, verify_unique_leader
 from repro.grid.generators import (
+    SHAPE_FAMILIES,
     annulus,
     comb,
     hexagon,
     hexagon_with_holes,
     line_shape,
+    make_shape,
     parallelogram,
     random_blob,
     spiral,
@@ -93,6 +97,79 @@ class TestErosionBaseline:
         system = ParticleSystem.from_shape(Shape([(0, 0), (5, 5)]))
         with pytest.raises(ValueError):
             ErosionLeaderElection().setup(system)
+
+
+#: Erosion outcomes on random order, seed 0, as the baseline produced them
+#: before it ran on DLE's SCE-election code: ``(family, size, shape seed,
+#: fault plan) -> (rounds, stalled, leaders, leader point)``.  The shape
+#: plans remove particles whose points stay eligible; expanding into them
+#: (DLE's rule), or a stall rule that misses a second leader's election,
+#: breaks these.
+PINNED_EROSION = [
+    pytest.param(("holey", 3, 1, ""), (9, True, 0, None), id="holey3"),
+    pytest.param(("hexagon", 1, 0, "shape:rate=0.9;seed=7"),
+                 (4, False, 2, None), id="hexagon1-shape"),
+    pytest.param(("hexagon", 2, 0, "shape:rate=0.9;seed=7"),
+                 (6, False, 1, (-1, -2)), id="hexagon2-shape"),
+    pytest.param(("holey", 2, 0, "shape:rate=0.5;seed=3"),
+                 (14, True, 2, None), id="holey2-shape"),
+]
+
+#: Families whose shapes can be hole-free (the property test below skips
+#: the shapes that still have holes).
+HOLE_FREE_CAPABLE = sorted(set(SHAPE_FAMILIES) - {"annulus", "holey"})
+
+
+class TestErosionIsTheSCEElection:
+    """The baseline is DLE's SCE election with the occupied points
+    eligible, no expansion and a stall rule."""
+
+    @pytest.mark.parametrize("engine", ["sweep", "event"])
+    @pytest.mark.parametrize("case,expected", PINNED_EROSION)
+    def test_pinned_outcomes(self, case, expected, engine):
+        family, size, shape_seed, plan = case
+        system = ParticleSystem.from_shape(
+            make_shape(family, size, seed=shape_seed), orientation_seed=0)
+        outcome = run_erosion_election(system, order="random", seed=0,
+                                       engine=engine, faults=plan)
+        assert (outcome.rounds, outcome.stalled, outcome.num_leaders,
+                outcome.leader_point) == expected
+        assert system.move_count == 0
+
+    @pytest.mark.parametrize("family", HOLE_FREE_CAPABLE)
+    def test_equals_dle_on_hole_free_shapes(self, family):
+        # On a hole-free shape the area is the occupied set, so DLE never
+        # finds an empty eligible point: both runs erode the same points
+        # in the same rounds and elect the same leader.
+        checked = 0
+        for size in (1, 2, 3, 5, 8):
+            for seed in range(3):
+                shape = make_shape(family, size, seed=seed)
+                if shape.area_points != shape.points:
+                    continue
+                for order in ("random", "round_robin", "reversed"):
+                    for engine in ("sweep", "event"):
+                        system = ParticleSystem.from_shape(
+                            shape, orientation_seed=seed)
+                        dle = make_scheduler(engine, order=order,
+                                             seed=seed).run(DLEAlgorithm(),
+                                                            system)
+                        leader = verify_unique_leader(system).head
+                        outcome = run_erosion_election(
+                            ParticleSystem.from_shape(
+                                shape, orientation_seed=seed),
+                            order=order, seed=seed, engine=engine)
+                        assert dle.moves == 0
+                        assert outcome.succeeded
+                        assert (outcome.rounds, outcome.leader_point) \
+                            == (dle.rounds, leader)
+                        checked += 1
+        assert checked
+
+    def test_is_not_a_dle_instance(self):
+        # Tools that attribute scheduler runs to DLE by isinstance must
+        # not count the baseline's runs.
+        assert not isinstance(ErosionLeaderElection(), DLEAlgorithm)
 
 
 class TestRandomizedBaseline:

@@ -144,7 +144,8 @@ class TestCommands:
     def test_sweep_exits_nonzero_when_runs_fail(self, capsys, monkeypatch):
         from repro.analysis import experiments
 
-        def broken(shape, seed, order="random", engine="sweep"):
+        def broken(shape, seed, order="random", engine="sweep",
+                   checkpoint=None):
             raise RuntimeError("driver exploded")
 
         monkeypatch.setitem(experiments.ALGORITHMS, "dle", broken)
@@ -209,7 +210,8 @@ class TestEngineFlag:
     def test_summary_json_records_failures(self, tmp_path, capsys, monkeypatch):
         from repro.analysis import experiments
 
-        def broken(shape, seed, order="random", engine="sweep"):
+        def broken(shape, seed, order="random", engine="sweep",
+                   checkpoint=None):
             raise RuntimeError("driver exploded")
 
         monkeypatch.setitem(experiments.ALGORITHMS, "dle", broken)

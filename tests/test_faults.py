@@ -19,7 +19,6 @@ import pytest
 from repro.amoebot.faults import (
     DEFAULT_FAULT_CAP,
     FaultInjector,
-    FaultPlan,
     FaultSpec,
     charged_fault_overlay,
     removal_keeps_connected,
@@ -73,9 +72,6 @@ class TestFaultSpec:
     def test_parse_is_idempotent_on_spec_instances(self):
         spec = FaultSpec.parse("crash:rate=0.1;seed=1")
         assert FaultSpec.parse(spec) is spec
-
-    def test_fault_plan_is_an_alias(self):
-        assert FaultPlan is FaultSpec
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):

@@ -701,6 +701,8 @@ STRICT_TARGETS = (
     "src/repro/orchestrator/transport.py",
     "src/repro/orchestrator/lease.py",
     "src/repro/grid/metrics.py",
+    "src/repro/core/dle.py",
+    "src/repro/baselines/erosion.py",
     "src/repro/lint",
 )
 

@@ -335,7 +335,8 @@ class TestTcpTransport:
                                                          monkeypatch):
         calls = {"n": 0}
 
-        def always_fails(shape, seed, order="random", engine="sweep"):
+        def always_fails(shape, seed, order="random", engine="sweep",
+                         checkpoint=None):
             calls["n"] += 1
             raise RuntimeError("deterministic tcp failure")
 
@@ -368,7 +369,8 @@ class TestTcpTransport:
         # Stop the coordinator mid-sweep and bring a fresh one up on the
         # same port: workers reconnect with backoff, the transport
         # re-submits what is still pending, and the sweep completes.
-        def slow_dle(shape, seed, order="random", engine="sweep"):
+        def slow_dle(shape, seed, order="random", engine="sweep",
+                     checkpoint=None):
             time.sleep(0.05)
             return {"rounds": 1, "succeeded": True}
 
@@ -430,7 +432,8 @@ class TestTcpTransport:
             self, monkeypatch):
         # A --max-tasks worker whose final publish hits a dead link must
         # redeliver after reconnecting, not exit and discard the work.
-        def slow(shape, seed, order="random", engine="sweep"):
+        def slow(shape, seed, order="random", engine="sweep",
+                 checkpoint=None):
             time.sleep(0.6)
             return {"rounds": 5, "succeeded": True}
 

@@ -360,7 +360,8 @@ class TestRunLedger:
 # ---------------------------------------------------------------------------
 
 def _counting_driver(counter):
-    def driver(shape, seed, order="random", engine="sweep"):
+    def driver(shape, seed, order="random", engine="sweep",
+               checkpoint=None):
         counter["runs"] += 1
         return {"rounds": 1, "succeeded": True}
     return driver
@@ -437,7 +438,8 @@ class TestRunSweep:
                          cache=tmp_path / "cache").counts()["cached"] == 4
 
     def test_failures_are_captured_not_fatal(self, tmp_path, monkeypatch):
-        def flaky(shape, seed, order="random", engine="sweep"):
+        def flaky(shape, seed, order="random", engine="sweep",
+                  checkpoint=None):
             if seed == 1:
                 raise RuntimeError("synthetic failure")
             return {"rounds": 1, "succeeded": True}
@@ -459,7 +461,8 @@ class TestRunSweep:
     def test_failures_never_cached(self, tmp_path, monkeypatch):
         calls = {"n": 0}
 
-        def always_fails(shape, seed, order="random", engine="sweep"):
+        def always_fails(shape, seed, order="random", engine="sweep",
+                         checkpoint=None):
             calls["n"] += 1
             raise RuntimeError("nope")
 
@@ -474,7 +477,8 @@ class TestRunSweep:
     def test_resume_gives_up_after_max_attempts(self, tmp_path, monkeypatch):
         calls = {"n": 0}
 
-        def always_fails(shape, seed, order="random", engine="sweep"):
+        def always_fails(shape, seed, order="random", engine="sweep",
+                         checkpoint=None):
             calls["n"] += 1
             raise RuntimeError("deterministic failure")
 
@@ -530,7 +534,8 @@ class TestRunSweep:
                                                  monkeypatch):
         # Without --resume the ledger's failures are read when the first
         # failed line is written, so the attempt count still accumulates.
-        def always_fails(shape, seed, order="random", engine="sweep"):
+        def always_fails(shape, seed, order="random", engine="sweep",
+                         checkpoint=None):
             raise RuntimeError("nope")
 
         monkeypatch.setitem(experiments.ALGORITHMS, "bad", always_fails)
@@ -649,7 +654,8 @@ class TestFrontEnds:
             experiments.TABLE1_ALGORITHMS)
 
     def test_front_end_raises_on_failure(self, monkeypatch):
-        def always_fails(shape, seed, order="random", engine="sweep"):
+        def always_fails(shape, seed, order="random", engine="sweep",
+                         checkpoint=None):
             raise RuntimeError("driver exploded")
 
         monkeypatch.setitem(experiments.ALGORITHMS, "dle", always_fails)
@@ -657,7 +663,8 @@ class TestFrontEnds:
             experiments.run_scaling_experiment("dle", "hexagon", [2])
 
     def test_front_end_preserves_exception_type(self, monkeypatch):
-        def raises_value_error(shape, seed, order="random", engine="sweep"):
+        def raises_value_error(shape, seed, order="random", engine="sweep",
+                               checkpoint=None):
             raise ValueError("bad input")
 
         monkeypatch.setitem(experiments.ALGORITHMS, "dle", raises_value_error)

@@ -11,6 +11,7 @@ import os
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.orchestrator import (
     run_sweep,
     run_worker,
 )
+from repro.orchestrator.queue import await_results
 
 CONFIG = RunConfig(algorithm="dle", family="hexagon", size=2, seed=0)
 SPEC = SweepSpec(algorithms=["dle", "erosion"], families=["hexagon"],
@@ -285,7 +287,8 @@ class TestWorker:
     def test_failing_task_respects_retry_budget(self, tmp_path, monkeypatch):
         calls = {"n": 0}
 
-        def always_fails(shape, seed, order="random", engine="sweep"):
+        def always_fails(shape, seed, order="random", engine="sweep",
+                         checkpoint=None):
             calls["n"] += 1
             raise RuntimeError("synthetic worker failure")
 
@@ -305,7 +308,8 @@ class TestWorker:
         # Regression: the idle clock used to start at claim time, so a
         # task longer than --max-idle made the worker quit the moment the
         # queue went briefly empty.
-        def slow(shape, seed, order="random", engine="sweep"):
+        def slow(shape, seed, order="random", engine="sweep",
+                 checkpoint=None):
             time.sleep(0.5)
             return {"rounds": 1, "succeeded": True}
 
@@ -330,7 +334,8 @@ class TestWorker:
         runs = {}
         runs_lock = threading.Lock()
 
-        def flaky(shape, seed, order="random", engine="sweep"):
+        def flaky(shape, seed, order="random", engine="sweep",
+                  checkpoint=None):
             with runs_lock:
                 runs[seed] = runs.get(seed, 0) + 1
                 if runs[seed] <= 2:
@@ -472,7 +477,8 @@ class TestQueueTransport:
         # on the very next resume, not retried 3 more times per resume.
         calls = {"n": 0}
 
-        def always_fails(shape, seed, order="random", engine="sweep"):
+        def always_fails(shape, seed, order="random", engine="sweep",
+                         checkpoint=None):
             calls["n"] += 1
             raise RuntimeError("deterministic queue failure")
 
@@ -506,6 +512,30 @@ class TestQueueTransport:
         transport = QueueTransport(tmp_path / "q", timeout=0.3, poll=0.02)
         with pytest.raises(TimeoutError, match="unfinished"):
             run_sweep(SPEC, transport=transport)
+
+
+class TestAwaitResults:
+    """The wait-for-results loop the queue and TCP transports share."""
+
+    def test_yields_each_pending_result_once(self):
+        pending = {"a": 0, "b": 1}
+        polls = [[("a", {"n": 1}), ("stray", {"n": 9})], [],
+                 [("a", {"n": 1}), ("b", {"n": 2})]]
+        transport = SimpleNamespace(name="demo", timeout=None, poll=0.001)
+        collected = list(await_results(transport, pending,
+                                       lambda: polls.pop(0), lambda: [],
+                                       None))
+        assert collected == [(0, {"n": 1}), (1, {"n": 2})]
+        assert not pending and not polls
+
+    def test_deadline_names_unfinished_tasks_and_live_workers(self):
+        transport = SimpleNamespace(name="demo", timeout=0.05, poll=0.01)
+        with pytest.raises(TimeoutError,
+                           match=r"^demo sweep timed out after 0.05s with "
+                                 r"1 task\(s\) unfinished "
+                                 r"\(live workers: \['w1'\]\)$"):
+            list(await_results(transport, {"a": 0}, lambda: [],
+                               lambda: ["w1"], time.monotonic() + 0.05))
 
 
 # ---------------------------------------------------------------------------
